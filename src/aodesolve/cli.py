@@ -8,19 +8,14 @@ limit (tower degree cap).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .errors import (ExtensionLimitExceeded, NoDerivative, NotIrreducible,
-                     ParseError, PointNotOnCurve, SeparantVanishes,
-                     SolverError, TrivialLinear)
+from .errors import ExtensionLimitExceeded, SolverError
+from .numbers import scalar_json
 from .parsing import parse_initial_tuple, parse_polynomial
 from .poly import multiplicity_at, validate_input
 from .puiseux import default_bound, places_at
 from .solver import (classify, constant_solutions, critical_set,
                      direct_method, solve_at)
-
-_VALIDATION_ERRORS = (NotIrreducible, NoDerivative, TrivialLinear, ParseError,
-                      PointNotOnCurve, SeparantVanishes, ValueError)
 
 
 def _build_parser():
@@ -71,6 +66,11 @@ def _render_point(p):
     return "(%s, %s)" % (_coord_str(p.y), _coord_str(p.z))
 
 
+def _write_json(obj, out):
+    json.dump(obj, out, sort_keys=True)
+    out.write("\n")
+
+
 def _run(args, out):
     F = parse_polynomial(args.ode)
     F = validate_input(F)
@@ -82,8 +82,7 @@ def _run(args, out):
     if args.command == "bound":
         n = default_bound(F)
         if args.format == "json":
-            json.dump({"bound": n}, out)
-            out.write("\n")
+            _write_json({"bound": n}, out)
         else:
             out.write("%d\n" % n)
         return 0
@@ -91,9 +90,7 @@ def _run(args, out):
     if args.command == "constants":
         consts = constant_solutions(F)
         if args.format == "json":
-            json.dump({"constants": [_num_json(c) for c in consts]}, out,
-                      sort_keys=True)
-            out.write("\n")
+            _write_json({"constants": [scalar_json(c) for c in consts]}, out)
         else:
             out.write("constants: %s\n" % ", ".join(_coord_str(c) for c in consts))
         return 0
@@ -101,8 +98,7 @@ def _run(args, out):
     if args.command == "critical":
         crit = critical_set(F)
         if args.format == "json":
-            json.dump({"critical": crit.to_json()}, out, sort_keys=True)
-            out.write("\n")
+            _write_json({"critical": crit.to_json()}, out)
         else:
             for p, tags in crit:
                 out.write("%s  [%s]\n" % (_render_point(p), ", ".join(sorted(tags))))
@@ -112,8 +108,7 @@ def _run(args, out):
         n = order if order is not None else 2 * (F.deg_y + F.deg_z)
         cl = classify(F, n, cap=cap, jobs=args.jobs)
         if args.format == "json":
-            json.dump(cl.to_json(), out, sort_keys=True)
-            out.write("\n")
+            _write_json(cl.to_json(), out)
         else:
             for i in sorted(cl.buckets):
                 pts = ", ".join(_render_point(p) for p in cl.buckets[i])
@@ -135,10 +130,9 @@ def _run(args, out):
         for p, _tags in crit:
             records.append((p, places_at(F, p, n, cap=cap)))
         if args.format == "json":
-            json.dump({"places": [{"center": p.to_json(),
-                                   "places": [pl.to_json() for pl in pls]}
-                                  for p, pls in records]}, out, sort_keys=True)
-            out.write("\n")
+            _write_json({"places": [{"center": p.to_json(),
+                                     "places": [pl.to_json() for pl in pls]}
+                                    for p, pls in records]}, out)
         else:
             for p, pls in records:
                 out.write("center %s:\n" % _render_point(p))
@@ -157,9 +151,7 @@ def _run(args, out):
                 order = 1
         sols = solve_at(F, (c0, c1), order, cap=cap)
         if args.format == "json":
-            json.dump({"solutions": [s.to_json() for s in sols]}, out,
-                      sort_keys=True)
-            out.write("\n")
+            _write_json({"solutions": [s.to_json() for s in sols]}, out)
         else:
             if not sols:
                 out.write("no non-constant solutions\n")
@@ -171,20 +163,12 @@ def _run(args, out):
         n = order if order is not None else 6
         sol = direct_method(F, (c0, c1), n)
         if args.format == "json":
-            json.dump({"solution": sol.to_json()}, out, sort_keys=True)
-            out.write("\n")
+            _write_json({"solution": sol.to_json()}, out)
         else:
             out.write("y(t) = %s\n" % sol.series.render())
         return 0
 
     raise ValueError("unknown command %r" % args.command)
-
-
-def _num_json(c):
-    from .numbers import AlgebraicNumber
-    if isinstance(c, AlgebraicNumber) and not c.is_rational():
-        return c.to_json()
-    return str(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
 
 
 def main(argv=None, out=None, err=None):
@@ -196,15 +180,12 @@ def main(argv=None, out=None, err=None):
     except ExtensionLimitExceeded as exc:
         err.write("resource limit: %s\n" % exc)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (SolverError, ValueError) as exc:
         pos = getattr(exc, "position", None)
         if pos is not None:
             err.write("error: %s (at offset %d)\n" % (exc, pos))
         else:
             err.write("error: %s\n" % exc)
-        return 2
-    except SolverError as exc:
-        err.write("error: %s\n" % exc)
         return 2
 
 

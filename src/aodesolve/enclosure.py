@@ -119,9 +119,6 @@ class Box:
         ilo, ihi = _isq(self.im_lo, self.im_hi)
         return rlo + ilo, rhi + ihi
 
-    def contains_zero(self):
-        return (self.re_lo <= 0 <= self.re_hi) and (self.im_lo <= 0 <= self.im_hi)
-
     def reciprocal(self):
         """Enclosure of 1/z; requires the box to exclude zero."""
         mlo, mhi = self.abs2_bounds()

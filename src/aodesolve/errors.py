@@ -9,10 +9,6 @@ class DivisionByZero(SolverError, ZeroDivisionError):
     pass
 
 
-class IncompatibleTowers(SolverError):
-    """Two algebraic numbers live in towers with no common prefix."""
-
-
 class ExtensionLimitExceeded(SolverError):
     """Adjoining a root would push the tower past the degree cap.
 

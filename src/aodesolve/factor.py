@@ -11,24 +11,17 @@ back as distinct values in distinct towers.
 from fractions import Fraction
 
 from .errors import ExtensionLimitExceeded
-from .numbers import (QQ, AlgebraicNumber, Level, Tower, isolate_roots,
-                      level_box, rep_lift)
-from .poly import (UniPoly, _UniDomain, resultant_lists, squarefree_decomposition,
-                   uni_gcd)
+from .numbers import (QQ, AlgebraicNumber, Level, Tower, as_alg, common_tower,
+                      isolate_roots, level_box, lift, rep_lift)
+from .poly import UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
 
 DEFAULT_DEGREE_CAP = 64
 
 _F1 = Fraction(1)
 
 
-def _as_alg(c, tower):
-    if isinstance(c, AlgebraicNumber):
-        return c
-    return AlgebraicNumber(tower, 0, Fraction(c))
-
-
 def _coeff_key(p, prec=48):
-    return tuple(_as_alg(c, QQ).sort_key(prec) for c in p.coeffs)
+    return tuple(as_alg(c).sort_key(prec) for c in p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +79,7 @@ def _theta_polys(p, tower):
     d = tower.levels[-1].degree
     cols = [[Fraction(0)] * len(p.coeffs) for _ in range(d)]
     for xi, c in enumerate(p.coeffs):
-        c = _as_alg(c, tower)
+        c = as_alg(c, tower)
         rep = rep_lift(c.rep, c.level, h)
         if not isinstance(rep, tuple):
             rep = (rep,)
@@ -116,7 +109,7 @@ def _trager_irreducible(g, tower):
         gs = g.compose(UniPoly([-s * theta, _F1], g.var)) if s else g
         bpolys, _ = _theta_polys(gs, tower)
         apolys = [UniPoly([c], g.var) for c in mcoeffs]
-        norm = resultant_lists(apolys, bpolys, _UniDomain(g.var))
+        norm = resultant_lists(apolys, bpolys, g.var)
         dn = norm.derivative()
         if not dn.is_zero() and uni_gcd(norm, dn).is_constant():
             break
@@ -147,7 +140,7 @@ def roots_in_tower(p, tower):
     out = []
     for f, m in factor_over_tower(p, tower):
         if f.degree == 1:
-            root = -_as_alg(f.coeffs[0], tower)
+            root = -as_alg(f.coeffs[0], tower)
             out.append((root, m))
     out.sort(key=lambda rm: rm[0].sort_key())
     return out
@@ -157,7 +150,7 @@ def _factor_reps(f, tower):
     h = tower.height
     reps = []
     for c in f.coeffs:
-        c = _as_alg(c, tower)
+        c = as_alg(c, tower)
         reps.append(rep_lift(c.rep, c.level, h))
     return reps
 
@@ -202,7 +195,7 @@ def all_roots(p, tower, cap=DEFAULT_DEGREE_CAP):
     out = []
     for f, m in factor_over_tower(p, tower):
         if f.degree == 1:
-            out.append((-_as_alg(f.coeffs[0], tower), m))
+            out.append((-as_alg(f.coeffs[0], tower), m))
             continue
         boxes = isolate_roots(tower, _factor_reps(f, tower), tower.height)
         for box in boxes:
@@ -226,27 +219,19 @@ def minpoly_over_q(x):
         bpolys, sub = _theta_polys(p, tower)
         mcoeffs, _ = _minpoly_theta(tower)
         apolys = [UniPoly([c], "x") for c in mcoeffs]
-        p = resultant_lists(apolys, bpolys, _UniDomain("x"))
+        p = resultant_lists(apolys, bpolys, "x")
         tower = sub
     p = _rationalize(p)
     for f, _ in factor_q(p):
-        if _eval_at(f, x).is_zero():
+        if f.eval(x) == 0:
             return f
     raise ArithmeticError("minimal polynomial selection failed")
 
 
-def _eval_at(f, x):
-    acc = AlgebraicNumber(x.tower, 0, Fraction(0))
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def alg_eq(x, y):
     """Exact equality of algebraic numbers, across towers."""
-    x = x if isinstance(x, AlgebraicNumber) else AlgebraicNumber(QQ, 0, Fraction(x))
-    y = y if isinstance(y, AlgebraicNumber) else AlgebraicNumber(QQ, 0, Fraction(y))
-    from .numbers import common_tower
+    x = as_alg(x)
+    y = as_alg(y)
     if common_tower(x.tower, y.tower) is not None:
         return x.level == y.level and x.rep == y.rep
     if not x.box(64).intersects(y.box(64)):
@@ -281,8 +266,7 @@ def lift_to_common(x, y, cap=DEFAULT_DEGREE_CAP):
         imgs.append(g)
     ylift = _map_rep(rep_lift(y.rep, y.level, y.tower.height),
                      y.tower.height, imgs, target, y.tower)
-    xlift = AlgebraicNumber(target, x.level, x.rep)
-    return xlift, ylift
+    return lift(x, target), ylift
 
 
 def _map_rep(rep, level, imgs, target, source_tower):
@@ -308,7 +292,7 @@ def _adjoin_matching(target, pol, source_tower, j, cap=DEFAULT_DEGREE_CAP):
         hits = []
         for f, _ in factors:
             if f.degree == 1:
-                val = -_as_alg(f.coeffs[0], target)
+                val = -as_alg(f.coeffs[0], target)
                 if val.box(prec).intersects(gbox):
                     hits.append((f, None, val))
             else:

@@ -88,15 +88,6 @@ def rep_sub(tower, level, a, b):
     return rep_add(tower, level, a, rep_neg(tower, level, b))
 
 
-def rep_scale(tower, level, a, s):
-    """Multiply a level-``level`` rep by a level-(level-1) rep."""
-    if level == 0:
-        raise ValueError("no sub-level at level 0")
-    if rep_is_zero(s) or rep_is_zero(a):
-        return ()
-    return _trim([rep_mul(tower, level - 1, c, s) for c in a])
-
-
 def rep_mul(tower, level, a, b):
     if level == 0:
         return a * b
@@ -444,12 +435,6 @@ class AlgebraicNumber:
         self.level = level
         self.rep = rep
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q, tower=QQ):
-        return cls(tower, 0, Fraction(q))
-
     # -- predicates ---------------------------------------------------
 
     def is_rational(self):
@@ -672,6 +657,49 @@ def render_rep(tower, level, rep):
 
 
 # ---------------------------------------------------------------------------
+# scalar helpers: a scalar is a rational (int or Fraction) or an
+# AlgebraicNumber, and every module decides through these four
+
+
+def as_alg(c, tower=QQ):
+    """``c`` as an AlgebraicNumber: passed through unchanged when it is
+    one, a rational is wrapped in ``tower``."""
+    if isinstance(c, AlgebraicNumber):
+        return c
+    return AlgebraicNumber(tower, 0, Fraction(c))
+
+
+def lift(c, tower):
+    """``c`` re-homed in ``tower`` when that tower extends c's own.
+
+    A rational is wrapped in ``tower``; a value whose tower ``tower``
+    does not extend is returned unchanged, so the value never changes.
+    The tower shows in ``to_json``, so callers pick as_alg or lift on
+    purpose.
+    """
+    if not isinstance(c, AlgebraicNumber):
+        return AlgebraicNumber(tower, 0, Fraction(c))
+    if c.tower.is_prefix_of(tower):
+        return AlgebraicNumber(tower, c.level, c.rep)
+    return c
+
+
+def inv(c):
+    """1/c, exact (``1 / int`` would be a float)."""
+    if isinstance(c, AlgebraicNumber):
+        return c.inverse()
+    return 1 / Fraction(c)
+
+
+def scalar_json(c):
+    """JSON form of a scalar: a string for a rational, the full tower
+    record otherwise."""
+    if isinstance(c, AlgebraicNumber) and not c.is_rational():
+        return c.to_json()
+    return str(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
+
+
+# ---------------------------------------------------------------------------
 # spec-level conveniences
 
 
@@ -679,15 +707,9 @@ def field_arith(x, y, op):
     """Binary field operation; lifts operands to a common tower."""
     fns = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
            "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
-    return fns[op](_as_alg(x), _as_alg(y))
-
-
-def _as_alg(x):
-    if isinstance(x, AlgebraicNumber):
-        return x
-    return AlgebraicNumber(QQ, 0, Fraction(x))
+    return fns[op](as_alg(x), as_alg(y))
 
 
 def numeric_enclosure(x, precision):
     """A box of width <= 2^-precision provably containing ``x``."""
-    return _as_alg(x).box(precision)
+    return as_alg(x).box(precision)

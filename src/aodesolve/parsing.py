@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .numbers import QQ, AlgebraicNumber
+from .numbers import QQ, AlgebraicNumber, lift
 from .poly import BiPoly, UniPoly
 from . import factor as _factor
 
@@ -166,10 +166,6 @@ class _UniParser(_PolyParser):
     def variable(self, name):
         return BiPoly.variable("y")  # single variable, stored on the y-axis
 
-    def parse_until_comma(self):
-        v = self.expr()
-        return v
-
 
 class _ScalarParser(_PolyParser):
     """Scalar expressions over a growing tower."""
@@ -200,7 +196,7 @@ class _ScalarParser(_PolyParser):
                 self.tower, root = _factor.adjoin_root(self.tower, pol,
                                                        name="sqrt(%s)" % q,
                                                        cap=self.cap)
-                return self._lift(root)
+                return lift(root, self.tower)
             # root(<poly in x>, <index>)
             sub = _UniParser(self.t)
             polybi = sub.expr()
@@ -220,7 +216,7 @@ class _ScalarParser(_PolyParser):
                 raise ParseError("root index out of range", position=pos2)
             root = roots[idx - 1][0]
             self.tower = root.tower
-            return self._lift(root)
+            return root
         kind, val, pos = self.t.next()
         if kind == "op" and val == "-":
             return -self.factor()
@@ -244,9 +240,6 @@ class _ScalarParser(_PolyParser):
             else:
                 return v
 
-    def _lift(self, x):
-        return AlgebraicNumber(self.tower, x.level, x.rep)
-
 
 def parse_initial_tuple(text, tower=QQ, cap=_factor.DEFAULT_DEGREE_CAP):
     """Parse "c0, c1" into a pair of tower values (plus the tower)."""
@@ -258,7 +251,4 @@ def parse_initial_tuple(text, tower=QQ, cap=_factor.DEFAULT_DEGREE_CAP):
     kind, _, pos = tokens.peek()
     if kind != "eof":
         raise ParseError("trailing input", position=pos)
-    tower = p.tower
-    c0 = AlgebraicNumber(tower, c0.level, c0.rep)
-    c1 = AlgebraicNumber(tower, c1.level, c1.rep)
-    return c0, c1, tower
+    return lift(c0, p.tower), lift(c1, p.tower), p.tower

@@ -11,21 +11,11 @@ from functools import lru_cache
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
-from .numbers import QQ, AlgebraicNumber, common_tower
+from .numbers import QQ, AlgebraicNumber, as_alg, inv, lift
 from .series import TruncatedSeries
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _is_zero(c):
-    return c == 0
-
-
-def _inv_scalar(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.inverse()
-    return 1 / Fraction(c)
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +29,10 @@ class UniPoly:
 
     def __init__(self, coeffs, var="x"):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
         self.var = var
-
-    @classmethod
-    def const(cls, c, var="x"):
-        return cls([c], var)
 
     @property
     def degree(self):
@@ -96,10 +82,10 @@ class UniPoly:
             return UniPoly([], self.var)
         out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                if not _is_zero(b):
+                if b != 0:
                     out[i + j] = out[i + j] + a * b
         return UniPoly(out, self.var)
 
@@ -132,14 +118,14 @@ class UniPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return UniPoly([], self.var), self
-        inv = _inv_scalar(other.lc())
+        lc_inv = inv(other.lc())
         quot = [_F0] * (dq + 1)
         db = other.degree
         for i in range(dq, -1, -1):
             c = rem[db + i]
-            if _is_zero(c):
+            if c == 0:
                 continue
-            q = c * inv
+            q = c * lc_inv
             quot[i] = q
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - q * b
@@ -152,25 +138,25 @@ class UniPoly:
         return q
 
     def monic(self):
-        if self.is_zero() or _is_zero(self.lc() - 1):
+        if self.is_zero() or self.lc() - 1 == 0:
             return self
-        return self.scale(_inv_scalar(self.lc()))
+        return self.scale(inv(self.lc()))
 
     def derivative(self):
         return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
 
     def eval(self, x):
+        """p(x) by Horner's rule; x may be a scalar, a UniPoly or a
+        TruncatedSeries.  The zero polynomial evaluates to 0."""
         acc = _F0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def compose(self, inner):
-        """Substitute another polynomial for the variable."""
-        acc = UniPoly([], self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly([c], self.var)
-        return acc
+        """Substitute another polynomial, in the same variable, for the
+        variable."""
+        return self.eval(inner) if self.coeffs else self
 
     def shift(self, a):
         """p(x + a)."""
@@ -231,78 +217,48 @@ def squarefree_decomposition(f):
 
 
 # ---------------------------------------------------------------------------
-# generic subresultant PRS resultant
+# subresultant PRS resultant
 #
-# Coefficients live in a UFD; the two instantiations used here are
-# scalars (field elements) and UniPoly over scalars.  Polynomials are
-# plain ascending lists of domain elements.
+# The polynomials are plain ascending lists whose coefficients are
+# UniPoly in ``var`` (the UFD K[var]); the resultant is a UniPoly.
 
 
-class _UniDomain:
-    def __init__(self, var="x"):
-        self.one = UniPoly([_F1], var)
-        self.var = var
-
-    @staticmethod
-    def is_zero(p):
-        return p.is_zero()
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def exact_div(a, b):
-        return a.exact_div(b)
-
-    @staticmethod
-    def power(a, n):
-        return a ** n
-
-
-def _ptrim(p, dom):
+def _ptrim(p):
     n = len(p)
-    while n and dom.is_zero(p[n - 1]):
+    while n and p[n - 1].is_zero():
         n -= 1
     return p[:n]
 
 
-def _prem(A, B, dom):
+def _prem(A, B):
     """Pseudo-remainder of A by B: rem(lc(B)^(degA-degB+1) * A, B)."""
     dA, dB = len(A) - 1, len(B) - 1
     lcB = B[-1]
     R = list(A)
     for i in range(dA - dB, -1, -1):
         c = R[dB + i]
-        R = [dom.mul(lcB, r) for r in R]
-        if not dom.is_zero(c):
+        R = [lcB * r for r in R]
+        if not c.is_zero():
             for j in range(dB + 1):
-                R[i + j] = dom.sub(R[i + j], dom.mul(c, B[j]))
+                R[i + j] = R[i + j] - c * B[j]
         R = R[:dB + i]
-    return _ptrim(R, dom)
+    return _ptrim(R)
 
 
-def resultant_lists(A, B, dom):
+def resultant_lists(A, B, var):
     """Resultant via the subresultant PRS (Cohen, Alg. 3.3.7)."""
-    A = _ptrim(list(A), dom)
-    B = _ptrim(list(B), dom)
+    A = _ptrim(list(A))
+    B = _ptrim(list(B))
     if not A or not B:
-        return dom.sub(dom.one, dom.one)  # zero of the domain
+        return UniPoly([], var)
     s = 1
     if len(A) < len(B):
         if ((len(A) - 1) * (len(B) - 1)) % 2 == 1:
             s = -s
         A, B = B, A
-    g = dom.one
-    h = dom.one
+    one = UniPoly([_F1], var)
+    g = one
+    h = one
     while True:
         dA, dB = len(A) - 1, len(B) - 1
         if dB == 0:
@@ -310,28 +266,26 @@ def resultant_lists(A, B, dom):
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        R = _prem(A, B, dom)
+        R = _prem(A, B)
         if not R:
-            return dom.sub(dom.one, dom.one)
+            return UniPoly([], var)
         A, B = B, R
-        denom = dom.mul(g, dom.power(h, delta))
-        B = [dom.exact_div(c, denom) for c in B]
+        denom = g * h ** delta
+        B = [c.exact_div(denom) for c in B]
         g = A[-1]
-        if delta == 0:
-            # h unchanged by h^(1-0) g^0 ... follows Cohen: h = h^{1-delta} g^{delta}
-            pass
-        elif delta == 1:
+        # Cohen: h = h^(1-delta) g^delta, which leaves h as it is at delta 0
+        if delta == 1:
             h = g
-        else:
-            h = dom.exact_div(dom.power(g, delta), dom.power(h, delta - 1))
+        elif delta > 1:
+            h = (g ** delta).exact_div(h ** (delta - 1))
     dA = len(A) - 1
     b = B[0]
     if dA == 0:
-        return dom.one if s == 1 else dom.neg(dom.one)
-    res = dom.power(b, dA)
+        return one if s == 1 else -one
+    res = b ** dA
     if dA > 1:
-        res = dom.exact_div(res, dom.power(h, dA - 1))
-    return res if s == 1 else dom.neg(res)
+        res = res.exact_div(h ** (dA - 1))
+    return res if s == 1 else -res
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +300,15 @@ class BiPoly:
     def __init__(self, terms):
         clean = {}
         for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-            if not _is_zero(c):
+            if c != 0:
                 if (i, j) in clean:
                     c = clean[(i, j)] + c
-                    if _is_zero(c):
+                    if c == 0:
                         del clean[(i, j)]
                         continue
                 clean[(i, j)] = c
         self.terms = clean
         self._key = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
-
-    @classmethod
-    def zero(cls):
-        return cls({})
 
     @classmethod
     def variable(cls, which):
@@ -435,17 +385,21 @@ class BiPoly:
                 base = base * base
         return result
 
-    def diff_y(self):
-        return BiPoly({(i - 1, j): i * c for (i, j), c in self.terms.items() if i})
-
     def diff_z(self):
         return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j})
 
     def eval(self, y, z):
+        """F(y, z) by Horner's rule in z over the y-columns; y and z may
+        be scalars or TruncatedSeries.  The zero polynomial evaluates
+        to 0."""
         acc = _F0
         for cy in reversed(self._z_coeff_polys()):
             acc = acc * z + cy.eval(y)
         return acc
+
+    # series callers use this name, and perfbench/tracer.py times it as
+    # a row of its own
+    eval_series = eval
 
     def _z_coeff_polys(self):
         """Coefficients of z^j as UniPoly in y, ascending in j."""
@@ -459,9 +413,6 @@ class BiPoly:
                     col[i] = c
             cols[j] = col
         return [UniPoly(col, "y") for col in cols]
-
-    def as_poly_in_z(self):
-        return self._z_coeff_polys()
 
     def as_poly_in_y(self):
         dy = self.deg_y
@@ -480,7 +431,7 @@ class BiPoly:
         terms = {}
         for j, cy in enumerate(cols):
             for i, c in enumerate(cy.coeffs):
-                if not _is_zero(c):
+                if c != 0:
                     terms[(i, j)] = c
         return cls(terms)
 
@@ -499,28 +450,9 @@ class BiPoly:
             out = new
         return BiPoly.from_poly_in_z(out)
 
-    def eval_series(self, ys, zs):
-        """F(A(t), B(t)) as a truncated series; A, B are TruncatedSeries."""
-        cols = self._z_coeff_polys()
-        acc = TruncatedSeries([], None)
-        for cy in reversed(cols):
-            cterm = _unipoly_at_series(cy, ys)
-            acc = acc * zs + cterm
-        return acc
-
     def rational_coeffs(self):
         return all(not isinstance(c, AlgebraicNumber) or c.is_rational()
                    for c in self.terms.values())
-
-    def tower(self):
-        t = QQ
-        for c in self.terms.values():
-            if isinstance(c, AlgebraicNumber):
-                t2 = common_tower(t, c.tower)
-                if t2 is None:
-                    raise ValueError("mixed incompatible towers in polynomial")
-                t = t2
-        return t
 
     def render(self):
         parts = []
@@ -556,13 +488,6 @@ class BiPoly:
 
     def __repr__(self):
         return "BiPoly(%s)" % self.render()
-
-
-def _unipoly_at_series(p, s):
-    acc = TruncatedSeries([], None)
-    for c in reversed(p.coeffs):
-        acc = acc * s + TruncatedSeries([c], None)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +526,7 @@ def univariate_slice(F, axis, v):
 def multiplicity_at(F, point):
     """Minimal total degree after translating the point to the origin."""
     c0, c1 = point
-    if not _is_zero(F.eval(c0, c1)):
+    if F.eval(c0, c1) != 0:
         raise PointNotOnCurve("F does not vanish at the given point")
     G = translate(F, c0, c1)
     return G.min_total_degree()
@@ -609,17 +534,11 @@ def multiplicity_at(F, point):
 
 def resultant_z(F, G):
     """Resultant eliminating z; a UniPoly in y."""
-    dom = _UniDomain("y")
-    A = F._z_coeff_polys()
-    B = G._z_coeff_polys()
-    return resultant_lists(A, B, dom)
+    return resultant_lists(F._z_coeff_polys(), G._z_coeff_polys(), "y")
 
 
 def resultant_y(F, G):
-    dom = _UniDomain("z")
-    A = F.as_poly_in_y()
-    B = G.as_poly_in_y()
-    return resultant_lists(A, B, dom)
+    return resultant_lists(F.as_poly_in_y(), G.as_poly_in_y(), "z")
 
 
 def _content_z(F):
@@ -663,8 +582,8 @@ class Point:
     __slots__ = ("y", "z")
 
     def __init__(self, y, z):
-        self.y = y if isinstance(y, AlgebraicNumber) else AlgebraicNumber(QQ, 0, Fraction(y))
-        self.z = z if isinstance(z, AlgebraicNumber) else AlgebraicNumber(QQ, 0, Fraction(z))
+        self.y = as_alg(y)
+        self.z = as_alg(z)
 
     def __iter__(self):
         return iter((self.y, self.z))
@@ -717,8 +636,8 @@ def solve_system(F, G):
     points = []
     for y0, _m in factor.all_roots(ry, QQ):
         t = y0.tower
-        fz = _slice_in_z(F, y0)
-        gz = _slice_in_z(G, y0)
+        fz = univariate_slice(F, "z", y0)
+        gz = univariate_slice(G, "z", y0)
         if fz.is_zero() and gz.is_zero():
             raise CommonComponent("vertical line is a common component")
         if fz.is_zero():
@@ -730,24 +649,9 @@ def solve_system(F, G):
         if h.is_constant():
             continue
         for z0, _m2 in factor.all_roots(h, t):
-            points.append(Point(_lift_into(y0, z0.tower), z0))
+            points.append(Point(lift(y0, z0.tower), z0))
     points.sort(key=lambda p: p.sort_key())
     return points
-
-
-def _slice_in_z(F, y0):
-    acc = UniPoly([], "z")
-    p = _F1
-    for i, cz in enumerate(F.as_poly_in_y()):
-        acc = acc + cz.scale(p)
-        p = p * y0
-    return acc
-
-
-def _lift_into(x, tower):
-    if x.tower.is_prefix_of(tower):
-        return AlgebraicNumber(tower, x.level, x.rep)
-    return x
 
 
 # ---------------------------------------------------------------------------

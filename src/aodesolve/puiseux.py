@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
-from .numbers import QQ, AlgebraicNumber, common_tower, isolate_roots
+from .numbers import (QQ, AlgebraicNumber, as_alg, common_tower, isolate_roots,
+                      lift, scalar_json)
 from .poly import BiPoly, UniPoly, translate
 from .series import TruncatedSeries, invert
 from . import factor as _factor
@@ -192,7 +193,7 @@ def _expand(H, tower, n, cap, depth=0):
         u, v = _bezout(edge.p, edge.q)
         for fac, mult in _factor.factor_over_tower(phi, tower):
             if fac.degree == 1:
-                root_towers = [(tower, -_as_alg(fac.coeffs[0], tower))]
+                root_towers = [(tower, -lift(fac.coeffs[0], tower))]
             else:
                 reps = _factor._factor_reps(fac, tower)
                 boxes = isolate_roots(tower, reps, tower.height)
@@ -214,14 +215,8 @@ def _expand(H, tower, n, cap, depth=0):
 
 
 def _lift_poly(F, tower):
-    return BiPoly({k: _as_alg(c, tower) if isinstance(c, AlgebraicNumber) else c
+    return BiPoly({k: lift(c, tower) if isinstance(c, AlgebraicNumber) else c
                    for k, c in F.terms.items()})
-
-
-def _as_alg(c, tower):
-    if isinstance(c, AlgebraicNumber):
-        return AlgebraicNumber(tower, c.level, c.rep)
-    return AlgebraicNumber(tower, 0, Fraction(c))
 
 
 # ---------------------------------------------------------------------------
@@ -261,29 +256,20 @@ class Place:
                 % self.B.trunc)
         return o
 
-    def b_coeff(self, k):
-        return self.B[k]
-
     def __repr__(self):
         return "Place(A=%s, B=%s)" % (self.A.render(), self.B.render())
 
     def to_json(self):
         tv = tangent_vector(self)
         return {
-            "center": [_scalar_json(self.center[0]), _scalar_json(self.center[1])],
+            "center": [scalar_json(self.center[0]), scalar_json(self.center[1])],
             "e": self.e,
             "A": self.A.to_json(),
             "B": self.B.to_json(),
             "order": self.order,
-            "tangent": [_scalar_json(tv[0]), _scalar_json(tv[1])],
+            "tangent": [scalar_json(tv[0]), scalar_json(tv[1])],
             "kind": ramification_kind(self),
         }
-
-
-def _scalar_json(c):
-    if isinstance(c, AlgebraicNumber) and not c.is_rational():
-        return c.to_json()
-    return str(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
 
 
 def tangent_vector(place):
@@ -292,14 +278,10 @@ def tangent_vector(place):
     n = place.e
     m = place.ord_B()
     if n == m:
-        return (place.lam, place.b_coeff(m))
+        return (place.lam, place.B[m])
     if n < m:
-        return (place.lam, _zero_like(place.lam))
-    return (_zero_like(place.lam), place.b_coeff(m))
-
-
-def _zero_like(c):
-    return Fraction(0)
+        return (place.lam, _F0)
+    return (_F0, place.B[m])
 
 
 def ramification_kind(place):
@@ -322,9 +304,8 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
     singular part; the branch separation itself is structural, so any
     n >= 1 yields correct places with shorter tails.
     """
-    c0, c1 = _point_coords(center)
-    c0, c1 = _unify_coords(c0, c1)
-    if not _is_zero_scalar(F.eval(c0, c1)):
+    c0, c1 = _unify_coords(*center)
+    if F.eval(c0, c1) != 0:
         raise PointNotOnCurve("the point is not on the curve")
     tower = _coord_tower(c0, c1)
     G = translate(F, c0, c1)
@@ -335,7 +316,7 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
         lam, e, Z = _assemble(br)
         lam, Z, tw = _normalize(lam, e, Z, br.tower, cap)
         B = Z + TruncatedSeries.constant(c1)
-        places.append(Place((_as_alg(c0, tw), _as_alg(c1, tw)), e, lam, B, tw, mult))
+        places.append(Place((lift(c0, tw), lift(c1, tw)), e, lam, B, tw, mult))
     places.sort(key=_place_sort_key)
     for idx, pl in enumerate(places):
         pl.place_id = "p%d" % idx
@@ -344,17 +325,6 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
         raise ArithmeticError(
             "place orders sum to %d but the center has multiplicity %d" % (total, mult))
     return places
-
-
-def _point_coords(center):
-    if hasattr(center, "y") and hasattr(center, "z"):
-        return center.y, center.z
-    c0, c1 = center
-    return c0, c1
-
-
-def _is_zero_scalar(c):
-    return c == 0 or (isinstance(c, AlgebraicNumber) and c.is_zero())
 
 
 def _unify_coords(c0, c1):
@@ -407,20 +377,20 @@ def _normalize(lam, e, Z, tower, cap):
     real e-th root of |lam|; irrational lam is absorbed only when the
     required rescaling already lies in the tower.
     """
-    lam = _as_alg(lam, tower)
+    lam = lift(lam, tower)
     one = Fraction(1)
     if lam == 1:
         return lam, Z, tower
     if e == 1:
-        return _as_alg(one, tower), _rescale(Z, lam.inverse()), tower
+        return lift(one, tower), _rescale(Z, lam.inverse()), tower
     targets = (one,) if e % 2 == 1 else (one, -one)
     for target in targets:
         pol = UniPoly([-(target * lam.inverse())] + [_F0] * (e - 1)
-                      + [_as_alg(one, tower)], "x")
+                      + [lift(one, tower)], "x")
         roots = _factor.roots_in_tower(pol, tower)
         if roots:
             rho = roots[-1][0]
-            return _as_alg(target, tower), _rescale(Z, rho), tower
+            return lift(target, tower), _rescale(Z, rho), tower
     if lam.is_rational():
         lamq = lam.as_fraction()
         t2, r = _adjoin_positive_real_root(tower, abs(lamq), e, cap)
@@ -428,12 +398,12 @@ def _normalize(lam, e, Z, tower, cap):
         if e % 2 == 1 and lamq < 0:
             rho = -rho
         target = one if (e % 2 == 1 or lamq > 0) else -one
-        return (_as_alg(target, t2), _rescale(_lift_series(Z, t2), rho), t2)
+        return (lift(target, t2), _rescale(_lift_series(Z, t2), rho), t2)
     return lam, Z, tower
 
 
 def _lift_series(Z, tower):
-    return Z.map_coeffs(lambda c: _as_alg(c, tower) if isinstance(c, AlgebraicNumber) else c)
+    return Z.map_coeffs(lambda c: lift(c, tower) if isinstance(c, AlgebraicNumber) else c)
 
 
 def _adjoin_positive_real_root(tower, radicand, e, cap):
@@ -461,7 +431,5 @@ def _place_sort_key(pl):
     key = [pl.e, pl.ord_B()]
     upto = min(6, len(pl.B.coeffs) - 1)
     for k in range(upto + 1):
-        c = pl.B[k]
-        c = c if isinstance(c, AlgebraicNumber) else AlgebraicNumber(QQ, 0, Fraction(c))
-        key.extend(c.sort_key(48))
+        key.extend(as_alg(pl.B[k]).sort_key(48))
     return tuple(key)

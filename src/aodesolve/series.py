@@ -10,13 +10,10 @@ that the inputs actually certify.
 from fractions import Fraction
 
 from .errors import InnerNotPositiveOrder, NotAUnit
+from .numbers import AlgebraicNumber, inv, scalar_json
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _is_zero(c):
-    return c == 0
 
 
 class TruncatedSeries:
@@ -25,7 +22,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, trunc=None):
         coeffs = list(coeffs)
         if trunc is None:
-            while coeffs and _is_zero(coeffs[-1]):
+            while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
         else:
             if trunc < -1:
@@ -45,10 +42,6 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, c):
         return cls([c], None)
-
-    @classmethod
-    def monomial(cls, c, k, trunc=None):
-        return cls([_F0] * k + [c], trunc)
 
     # -- inspection -----------------------------------------------------
 
@@ -70,7 +63,7 @@ class TruncatedSeries:
         "> trunc" for a truncated series, +infinity for the exact zero.
         """
         for i, c in enumerate(self.coeffs):
-            if not _is_zero(c):
+            if c != 0:
                 return i
         return None
 
@@ -89,9 +82,6 @@ class TruncatedSeries:
         return self.trunc is None and not self.coeffs
 
     # -- arithmetic -----------------------------------------------------
-
-    def _tr(self):
-        return self.trunc
 
     def __add__(self, other):
         other = _coerce(other)
@@ -135,12 +125,12 @@ class TruncatedSeries:
                 n = t + 1
         out = [_F0] * max(n, 0)
         for i, ca in enumerate(a.coeffs):
-            if _is_zero(ca) or i >= len(out):
+            if ca == 0 or i >= len(out):
                 continue
             for j, cb in enumerate(b.coeffs):
                 if i + j >= len(out):
                     break
-                if _is_zero(cb):
+                if cb == 0:
                     continue
                 out[i + j] = out[i + j] + ca * cb
         return TruncatedSeries(out, t)
@@ -199,7 +189,7 @@ class TruncatedSeries:
     def render(self, var="t"):
         parts = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c == 0:
                 continue
             cs = str(c)
             composite = (" + " in cs) or (" - " in cs)
@@ -235,18 +225,10 @@ class TruncatedSeries:
         return "Series(%s)" % self.render()
 
     def to_json(self):
-        from .numbers import AlgebraicNumber
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, AlgebraicNumber) and not c.is_rational():
-                out.append(c.to_json())
-            else:
-                out.append(str(c if not isinstance(c, AlgebraicNumber) else c.as_fraction()))
-        return {"coeffs": out, "trunc": self.trunc}
+        return {"coeffs": [scalar_json(c) for c in self.coeffs], "trunc": self.trunc}
 
     @classmethod
     def from_json(cls, obj):
-        from .numbers import AlgebraicNumber
         coeffs = []
         for c in obj["coeffs"]:
             if isinstance(c, dict):
@@ -291,16 +273,14 @@ def invert(a, trunc=None):
         trunc = a.trunc
     if trunc is None:
         if len(a.coeffs) == 1:
-            c = a.coeffs[0]
-            return TruncatedSeries([1 / Fraction(c) if isinstance(c, (int, Fraction)) else
-                                    _one_over(c)], None)
+            return TruncatedSeries([inv(a.coeffs[0])], None)
         raise ValueError("inverting an exact non-constant series needs a target order")
     if a.trunc is not None and a.trunc < 0:
         raise NotAUnit("constant term is not certified")
     c0 = a.constant_term()
-    if _is_zero(c0):
+    if c0 == 0:
         raise NotAUnit("constant term is zero")
-    inv0 = 1 / Fraction(c0) if isinstance(c0, (int, Fraction)) else _one_over(c0)
+    inv0 = inv(c0)
     out = [inv0]
     for k in range(1, trunc + 1):
         acc = _F0
@@ -308,15 +288,11 @@ def invert(a, trunc=None):
             ai = a[i] if a.known(i) else None
             if ai is None:
                 raise NotAUnit("insufficient certified coefficients to invert")
-            if _is_zero(ai):
+            if ai == 0:
                 continue
             acc = acc + ai * out[k - i]
-        out.append(-acc * inv0 if not _is_zero(acc) else _F0)
+        out.append(-acc * inv0 if acc != 0 else _F0)
     return TruncatedSeries(out, trunc)
-
-
-def _one_over(c):
-    return c.inverse()
 
 
 def compose(outer, inner):
@@ -340,7 +316,7 @@ def compose(outer, inner):
     for k in range(ncoeffs - 1, -1, -1):
         acc = acc * inner
         ck = outer[k]
-        if not _is_zero(ck):
+        if ck != 0:
             acc = acc + TruncatedSeries([ck], None)
         if t is not None:
             acc = _cap(acc, t)

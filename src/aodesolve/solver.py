@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
-from .numbers import QQ, AlgebraicNumber, common_tower
+from .numbers import QQ, AlgebraicNumber, common_tower, inv, scalar_json
 from .poly import (BiPoly, Point, multiplicity_at, separant, solve_system,
                    univariate_slice, validate_input)
-from .puiseux import places_at
-from .series import TruncatedSeries, derivative
+from .puiseux import _unify_coords, places_at
+from .series import TruncatedSeries, compose, derivative
 from . import factor as _factor
 
 _F0 = Fraction(0)
@@ -104,14 +104,8 @@ class Classification:
             "complement_of": [p.to_json() for p in self.complement_of],
             "extra": [p.to_json() for p in self.a1_extra],
         }
-        out["constants"] = [_num_json(c) for c in self.constants]
+        out["constants"] = [scalar_json(c) for c in self.constants]
         return out
-
-
-def _num_json(c):
-    if isinstance(c, AlgebraicNumber) and not c.is_rational():
-        return c.to_json()
-    return str(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +117,13 @@ def is_order_suitable(place):
     e = place.e
     c1 = place.center[1]
     ord_Aprime = e - 1
-    if _is_zero(c1):
+    if c1 == 0:
         ord_B = place.ord_B()
     else:
         ord_B = 0
     suitable = ord_Aprime == ord_B
     # the equivalent characterization through the center must agree
-    if _is_zero(c1):
+    if c1 == 0:
         lemma = (e == place.ord_B() + 1)
     else:
         lemma = (e == 1)
@@ -148,31 +142,17 @@ def reparametrize(place, n):
     if not place.B.known(k + n - 1):
         raise InsufficientPrecision(
             "need %d certified coefficients of B, have %s" % (k + n - 1, place.B.trunc))
-    scale = _inv(place.lam * e)
+    scale = inv(place.lam * e)
     psi = [place.B[k + j] * scale for j in range(n)]
     s = [_F0, psi[0]]  # s1 = b_k / a_k
     for i in range(1, n):
         # (i+1) s_{i+1} = [t^i] psi(S)
-        S = TruncatedSeries(s, i)
-        acc = TruncatedSeries([_F0], i)
-        for c in reversed(psi[:i + 1]):
-            acc = acc * S + TruncatedSeries([c], None)
-            acc = acc.truncate(min(acc.trunc, i)) if acc.trunc is not None else acc
-        coeff = acc[i]
+        coeff = compose(TruncatedSeries.exact(psi[:i + 1]), TruncatedSeries(s, i))[i]
         s.append(coeff * Fraction(1, i + 1))
     S = TruncatedSeries(s[:n + 1], n)
-    assert S.order() == 1 and not _is_zero(S[1])
+    if S.order() != 1:
+        raise ArithmeticError("reparametrization is not of order one")
     return S
-
-
-def _inv(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.inverse()
-    return 1 / Fraction(c)
-
-
-def _is_zero(c):
-    return c == 0 or (isinstance(c, AlgebraicNumber) and c.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +166,8 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     solution, which separates distinct solutions.
     """
     validate_input(F)
-    c0, c1 = _coords(c)
-    if not _is_zero(F.eval(c0, c1)):
+    c0, c1 = _unify_coords(*c)
+    if F.eval(c0, c1) != 0:
         return []
     mult = multiplicity_at(F, (c0, c1))
     # cheap probe: branch structure and leading orders decide suitability
@@ -203,11 +183,11 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
             continue
         m_out = max(n, mult + place.e)
         S = reparametrize(place, m_out)
-        assert common_tower(_series_tower(S), place.tower) is not None, \
-            "reparametrization left the place tower"
+        if common_tower(_series_tower(S), place.tower) is None:
+            raise ArithmeticError("reparametrization left the place tower")
         ytilde = _compose_A(place, S, m_out)
-        assert _is_zero(ytilde[0] - place.center[0])
-        assert _is_zero(ytilde[1] - place.center[1])
+        if ytilde[0] - place.center[0] != 0 or ytilde[1] - place.center[1] != 0:
+            raise ArithmeticError("solution does not start at the initial tuple")
         out.append(SolutionTruncation(ytilde, InitialTuple(place.center[0],
                                                            place.center[1]),
                                       place.place_id, S))
@@ -235,13 +215,6 @@ def _compose_A(place, S, m_out):
     acc = acc.truncate(min(acc.trunc, m_out)) if acc.trunc is not None else acc
     acc = acc.scale(place.lam) + TruncatedSeries.constant(place.center[0])
     return acc.truncate(min(acc.trunc, m_out))
-
-
-def _coords(c):
-    from .puiseux import _unify_coords
-    if hasattr(c, "y") and hasattr(c, "z"):
-        return _unify_coords(c.y, c.z)
-    return _unify_coords(c[0], c[1])
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +297,13 @@ def direct_method(F, c, n):
     """Coefficients by the separant recursion; defined only where the
     separant does not vanish."""
     validate_input(F)
-    c0, c1 = _coords(c)
-    if not _is_zero(F.eval(c0, c1)):
+    c0, c1 = _unify_coords(*c)
+    if F.eval(c0, c1) != 0:
         raise PointNotOnCurve("initial tuple is not on the curve")
     sf = separant(F).eval(c0, c1)
-    if _is_zero(sf):
+    if sf == 0:
         raise SeparantVanishes("separant vanishes at the initial tuple")
-    inv_sf = _inv(sf)
+    inv_sf = inv(sf)
     coeffs = [c0, c1]
     for k in range(1, n):
         # with c_{k+1} = 0, the t^k coefficient of F(y, y') is affine in

@@ -11,6 +11,7 @@ from aodesolve.poly import (BiPoly, UniPoly, multiplicity_at,
                             resultant_y, resultant_z, ruppert_factor_count, separant,
                             solve_system, translate, univariate_slice,
                             validate_input)
+from aodesolve.series import TruncatedSeries
 from conftest import make_ex1, make_ex2
 
 
@@ -140,6 +141,27 @@ def test_univariate_slice(ex1):
     assert s2 == UniPoly([F(-2), F(0), F(1)], "z")
     line = BiPoly({(0, 1): F(1), (1, 0): F(-1)})
     assert univariate_slice(line, "y", F(0)) == UniPoly([F(0), F(-1)], "y")
+
+
+def test_eval_series_matches_termwise_sum(ex1, ex2):
+    """Horner evaluation equals sum c * A^i * B^j, certified order included."""
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    S = TruncatedSeries
+    inputs = [
+        (S.exact([F(1), F(2), F(-3)]), S.exact([F(0), F(1), F(1, 2)])),
+        (S([F(-1), F(0), F(1, 4)], 5), S([F(0), F(1, 2), F(0), F(-1, 6)], 4)),
+        (S([F(0), F(1)], 6), S([F(0), F(2), F(3)], 3)),
+        (S([F(1), r2, F(1, 2)], 4), S([r2, F(1), 3 * r2], 4)),
+    ]
+    assert ex1._z_coeff_polys()[1].is_zero()  # an empty z^1 column
+    for B in (ex1, ex2):
+        for ys, zs in inputs:
+            want = S.exact([])
+            for (i, j), c in B.terms.items():
+                want = want + ys ** i * zs ** j * c
+            got = B.eval_series(ys, zs)
+            assert isinstance(got, TruncatedSeries)
+            assert got == want
 
 
 def test_multiplicity_examples(ex1, ex2):
