@@ -71,9 +71,11 @@ def _rationalize(p):
     return UniPoly(coeffs, p.var)
 
 
-def _theta_polys(p, tower):
-    """Rewrite p over tower (top generator theta) as a polynomial in
-    theta whose coefficients are UniPoly in p.var over the sub-tower."""
+def _norm(p, tower):
+    """Norm of p over the top level of the tower (generator theta):
+    the resultant in theta of the level's minimal polynomial and p
+    rewritten as a polynomial in theta whose coefficients are UniPoly in
+    p.var over the sub-tower; (norm, sub-tower)."""
     h = tower.height
     sub = Tower(tower.levels[:-1])
     d = tower.levels[-1].degree
@@ -85,31 +87,20 @@ def _theta_polys(p, tower):
             rep = (rep,)
         for tpow, sub_rep in enumerate(rep):
             cols[tpow][xi] = AlgebraicNumber(sub, h - 1, sub_rep)
-    polys = [UniPoly(col, p.var) for col in cols]
-    while polys and polys[-1].is_zero():
-        polys.pop()
-    return polys, sub
-
-
-def _minpoly_theta(tower):
-    """Top level's minimal polynomial as an explicit theta-polynomial
-    with constant (sub-tower) coefficients."""
-    h = tower.height
-    sub = Tower(tower.levels[:-1])
-    return [AlgebraicNumber(sub, h - 1, r) for r in tower.levels[-1].minpoly], sub
+    bpolys = [UniPoly(col, p.var) for col in cols]
+    apolys = [UniPoly([AlgebraicNumber(sub, h - 1, r)], p.var)
+              for r in tower.levels[-1].minpoly]
+    return resultant_lists(apolys, bpolys, p.var), sub
 
 
 def _trager_irreducible(g, tower):
     """Irreducible factors of a squarefree monic g over a tower of
     height >= 1 (Trager's norm reduction)."""
     theta = tower.generator(tower.height - 1)
-    mcoeffs, sub = _minpoly_theta(tower)
     shifts = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
     for s in shifts:
-        gs = g.compose(UniPoly([-s * theta, _F1], g.var)) if s else g
-        bpolys, _ = _theta_polys(gs, tower)
-        apolys = [UniPoly([c], g.var) for c in mcoeffs]
-        norm = resultant_lists(apolys, bpolys, g.var)
+        gs = g.eval(UniPoly([-s * theta, _F1], g.var)) if s else g
+        norm, sub = _norm(gs, tower)
         dn = norm.derivative()
         if not dn.is_zero() and uni_gcd(norm, dn).is_constant():
             break
@@ -120,7 +111,7 @@ def _trager_irreducible(g, tower):
         d = uni_gcd(gs, hfac)
         if d.degree >= 1:
             if s:
-                d = d.compose(UniPoly([s * theta, _F1], g.var))
+                d = d.eval(UniPoly([s * theta, _F1], g.var))
             out.append(d.monic())
     total = sum(f.degree for f in out)
     if total != g.degree:
@@ -132,18 +123,20 @@ def _trager_irreducible(g, tower):
 # roots
 
 
+def _sorted_roots(roots):
+    return sorted(roots, key=lambda rm: rm[0].sort_key())
+
+
+def _linear_roots(factors, tower):
+    """The roots of the linear factors of a factor list, sorted."""
+    return _sorted_roots((-as_alg(f.coeffs[0], tower), m)
+                         for f, m in factors if f.degree == 1)
+
+
 def roots_in_tower(p, tower):
     """All roots of p lying in the tower, with multiplicities, sorted by
     numeric enclosure (re, im lexicographic, ascending)."""
-    if p.degree < 1:
-        return []
-    out = []
-    for f, m in factor_over_tower(p, tower):
-        if f.degree == 1:
-            root = -as_alg(f.coeffs[0], tower)
-            out.append((root, m))
-    out.sort(key=lambda rm: rm[0].sort_key())
-    return out
+    return _linear_roots(factor_over_tower(p, tower), tower)
 
 
 def _factor_reps(f, tower):
@@ -170,39 +163,40 @@ def extend_by_factor(tower, f, box, name=None, cap=DEFAULT_DEGREE_CAP):
     return t2, t2.generator(t2.height - 1)
 
 
-def adjoin_root(tower, p, name=None, cap=DEFAULT_DEGREE_CAP, select=None):
+def adjoin_root(tower, p, name=None, cap=DEFAULT_DEGREE_CAP):
     """Adjoin one root of p (tower unchanged when a root already lies in
     it).  The pinned root is the lexicographically greatest enclosure
-    (max re, then max im) unless ``select`` picks among the boxes."""
+    (max re, then max im)."""
     factors = factor_over_tower(p, tower)
     if not factors:
         raise ValueError("cannot adjoin a root of a constant polynomial")
-    roots = roots_in_tower(p, tower)
+    roots = _linear_roots(factors, tower)
     if roots:
         return tower, roots[-1][0]
-    factors = [fm for fm in factors if fm[0].degree >= 2]
-    f = factors[0][0]
+    f = factors[0][0]  # no linear factor, and the list is sorted by degree
     boxes = isolate_roots(tower, _factor_reps(f, tower), tower.height)
-    box = boxes[-1] if select is None else select(boxes)
-    return extend_by_factor(tower, f, box, name=name, cap=cap)
+    return extend_by_factor(tower, f, boxes[-1], name=name, cap=cap)
+
+
+def roots_by_factor(p, tower, cap=DEFAULT_DEGREE_CAP):
+    """All roots of p over the algebraic closure, in factor order;
+    [(root, multiplicity)].  A root of a linear factor is homed in the
+    tower; each root of a nonlinear factor gets the tower extended by
+    that factor, pinned at the root's isolating box."""
+    out = []
+    for f, m in factor_over_tower(p, tower):
+        if f.degree == 1:
+            out.append((-lift(f.coeffs[0], tower), m))
+            continue
+        for box in isolate_roots(tower, _factor_reps(f, tower), tower.height):
+            out.append((extend_by_factor(tower, f, box, cap=cap)[1], m))
+    return out
 
 
 def all_roots(p, tower, cap=DEFAULT_DEGREE_CAP):
     """All roots of p over the algebraic closure, each pinned in its own
     (possibly extended) tower; [(root, multiplicity)], deterministic."""
-    if p.degree < 1:
-        return []
-    out = []
-    for f, m in factor_over_tower(p, tower):
-        if f.degree == 1:
-            out.append((-as_alg(f.coeffs[0], tower), m))
-            continue
-        boxes = isolate_roots(tower, _factor_reps(f, tower), tower.height)
-        for box in boxes:
-            _, root = extend_by_factor(tower, f, box, cap=cap)
-            out.append((root, m))
-    out.sort(key=lambda rm: rm[0].sort_key())
-    return out
+    return _sorted_roots(roots_by_factor(p, tower, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +210,7 @@ def minpoly_over_q(x):
     tower = Tower(x.tower.levels[:x.level])
     p = UniPoly([-x, AlgebraicNumber(tower, 0, _F1)], "x")
     while tower.height > 0:
-        bpolys, sub = _theta_polys(p, tower)
-        mcoeffs, _ = _minpoly_theta(tower)
-        apolys = [UniPoly([c], "x") for c in mcoeffs]
-        p = resultant_lists(apolys, bpolys, "x")
-        tower = sub
+        p, tower = _norm(p, tower)
     p = _rationalize(p)
     for f, _ in factor_q(p):
         if f.eval(x) == 0:
@@ -260,26 +250,23 @@ def lift_to_common(x, y, cap=DEFAULT_DEGREE_CAP):
     target = x.tower
     imgs = []
     for j, lev in enumerate(y.tower.levels):
-        mapped = [_map_rep(r, j, imgs, target, y.tower) for r in lev.minpoly]
+        mapped = [_map_rep(r, j, imgs, target) for r in lev.minpoly]
         pol = UniPoly(mapped, "x")
         target, g = _adjoin_matching(target, pol, y.tower, j, cap=cap)
         imgs.append(g)
     ylift = _map_rep(rep_lift(y.rep, y.level, y.tower.height),
-                     y.tower.height, imgs, target, y.tower)
+                     y.tower.height, imgs, target)
     return lift(x, target), ylift
 
 
-def _map_rep(rep, level, imgs, target, source_tower):
+def _map_rep(rep, level, imgs, target):
     """Evaluate a source-tower rep through generator images in target."""
     if level == 0:
         return AlgebraicNumber(target, 0, Fraction(rep))
     if not isinstance(rep, tuple):
         rep = (rep,) if rep else ()
-    acc = AlgebraicNumber(target, 0, Fraction(0))
-    g = imgs[level - 1]
-    for c in reversed(rep):
-        acc = acc * g + _map_rep(c, level - 1, imgs, target, source_tower)
-    return acc
+    mapped = [_map_rep(c, level - 1, imgs, target) for c in rep]
+    return lift(UniPoly(mapped).eval(imgs[level - 1]), target)
 
 
 def _adjoin_matching(target, pol, source_tower, j, cap=DEFAULT_DEGREE_CAP):

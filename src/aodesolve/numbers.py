@@ -95,17 +95,7 @@ def rep_mul(tower, level, a, b):
         return ()
     if level == 1:
         return _rep_mul_height1(tower, a, b)
-    sub = level - 1
-    la, lb = len(a), len(b)
-    prod = [rep_zero(sub)] * (la + lb - 1)
-    for i, ai in enumerate(a):
-        if rep_is_zero(ai):
-            continue
-        for j, bj in enumerate(b):
-            if rep_is_zero(bj):
-                continue
-            prod[i + j] = rep_add(tower, sub, prod[i + j], rep_mul(tower, sub, ai, bj))
-    return _reduce_mod(tower, level, prod)
+    return _reduce_mod(tower, level, _poly_mul(tower, level - 1, a, b))
 
 
 def _rep_mul_height1(tower, a, b):
@@ -174,7 +164,7 @@ def rep_inv(tower, level, a):
     while len(_trim(r1)) > 1:
         q, r = _poly_divmod(tower, sub, r0, r1)
         r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(tower, sub, t0, _poly_mul(tower, sub, q, t1))
+        t0, t1 = t1, rep_sub(tower, level, t0, _poly_mul(tower, sub, q, t1))
     r1 = _trim(r1)
     if not r1:
         raise DivisionByZero("element not invertible (zero divisor?)")
@@ -183,18 +173,9 @@ def rep_inv(tower, level, a):
     return _reduce_mod(tower, level, out)
 
 
-# dense polynomial helpers over reps at a fixed level (used by rep_inv)
-
-
-def _poly_sub(tower, level, p, q):
-    n = max(len(p), len(q))
-    z = rep_zero(level)
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else z
-        b = q[i] if i < len(q) else z
-        out.append(rep_sub(tower, level, a, b))
-    return list(_trim(out))
+# dense polynomial helpers over reps at a fixed level (used by rep_mul
+# and rep_inv); a difference of two such polynomials is rep_sub one
+# level up
 
 
 def _poly_mul(tower, level, p, q):
@@ -531,14 +512,7 @@ class AlgebraicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = AlgebraicNumber(self.tower, 0, _F1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, AlgebraicNumber(self.tower, 0, _F1))
 
     # -- comparison ---------------------------------------------------
 
@@ -658,7 +632,7 @@ def render_rep(tower, level, rep):
 
 # ---------------------------------------------------------------------------
 # scalar helpers: a scalar is a rational (int or Fraction) or an
-# AlgebraicNumber, and every module decides through these four
+# AlgebraicNumber, and every module decides through these
 
 
 def as_alg(c, tower=QQ):
@@ -689,6 +663,32 @@ def inv(c):
     if isinstance(c, AlgebraicNumber):
         return c.inverse()
     return 1 / Fraction(c)
+
+
+def common_tower_of(values):
+    """The one tower every AlgebraicNumber among ``values`` lives in
+    (QQ when there is none); two incompatible towers are an internal
+    fault."""
+    t = QQ
+    for c in values:
+        if isinstance(c, AlgebraicNumber):
+            t = common_tower(t, c.tower)
+            if t is None:
+                raise ArithmeticError("values live in incompatible towers")
+    return t
+
+
+def power(x, n, one):
+    """x**n for an integer n >= 0 by square-and-multiply; ``one`` is
+    the unit of x's ring.  Every ``__pow__`` of the package ends here."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def scalar_json(c):

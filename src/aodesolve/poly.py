@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
-from .numbers import QQ, AlgebraicNumber, as_alg, inv, lift
+from .numbers import QQ, AlgebraicNumber, as_alg, inv, lift, power
 from .series import TruncatedSeries
 
 _F0 = Fraction(0)
@@ -100,15 +100,7 @@ class UniPoly:
         return UniPoly([other], self.var)
 
     def __pow__(self, n):
-        result = UniPoly([_F1], self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, UniPoly([_F1], self.var))
 
     def divmod(self, other):
         """Division over a field of scalars."""
@@ -146,21 +138,12 @@ class UniPoly:
         return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
 
     def eval(self, x):
-        """p(x) by Horner's rule; x may be a scalar, a UniPoly or a
-        TruncatedSeries.  The zero polynomial evaluates to 0."""
+        """p(x) by Horner's rule; x may be a scalar, a UniPoly, a BiPoly
+        or a TruncatedSeries.  The zero polynomial evaluates to 0."""
         acc = _F0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def compose(self, inner):
-        """Substitute another polynomial, in the same variable, for the
-        variable."""
-        return self.eval(inner) if self.coeffs else self
-
-    def shift(self, a):
-        """p(x + a)."""
-        return self.compose(UniPoly([a, _F1], self.var))
 
     def render(self, var=None):
         var = var or self.var
@@ -348,10 +331,14 @@ class BiPoly:
         return hash(self._key)
 
     def __add__(self, other):
+        if not isinstance(other, BiPoly):
+            other = BiPoly({(0, 0): other})
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, _F0) + c
         return BiPoly(out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return BiPoly({k: -c for k, c in self.terms.items()})
@@ -369,29 +356,23 @@ class BiPoly:
             return BiPoly(out)
         return self.scale(other)
 
+    __rmul__ = __mul__
+
     def scale(self, s):
         return BiPoly({k: c * s for k, c in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer powers only")
-        result = BiPoly({(0, 0): _F1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, BiPoly({(0, 0): _F1}))
 
     def diff_z(self):
         return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j})
 
     def eval(self, y, z):
         """F(y, z) by Horner's rule in z over the y-columns; y and z may
-        be scalars or TruncatedSeries.  The zero polynomial evaluates
-        to 0."""
+        be scalars, TruncatedSeries or BiPoly.  The zero polynomial
+        evaluates to 0."""
         acc = _F0
         for cy in reversed(self._z_coeff_polys()):
             acc = acc * z + cy.eval(y)
@@ -425,30 +406,6 @@ class BiPoly:
                     col[j] = c
             cols.append(UniPoly(col, "z"))
         return cols
-
-    @classmethod
-    def from_poly_in_z(cls, cols):
-        terms = {}
-        for j, cy in enumerate(cols):
-            for i, c in enumerate(cy.coeffs):
-                if c != 0:
-                    terms[(i, j)] = c
-        return cls(terms)
-
-    def subs_shift(self, c0, c1):
-        """F(y + c0, z + c1), exact."""
-        cols = [cy.shift(c0) for cy in self._z_coeff_polys()]
-        # now shift in z: Horner on the UniPoly-in-y coefficients
-        out = []  # ascending z-coefficients, each UniPoly in y
-        for cy in reversed(cols):
-            # out(z) = out(z) * (z + c1) + cy
-            new = [UniPoly([], "y")] * (len(out) + 1)
-            for k, p in enumerate(out):
-                new[k + 1] = new[k + 1] + p
-                new[k] = new[k] + p.scale(c1)
-            new[0] = new[0] + cy
-            out = new
-        return BiPoly.from_poly_in_z(out)
 
     def rational_coeffs(self):
         return all(not isinstance(c, AlgebraicNumber) or c.is_rational()
@@ -502,8 +459,8 @@ def separant(F):
 
 
 def translate(F, c0, c1):
-    """F(y + c0, z + c1)."""
-    return F.subs_shift(c0, c1)
+    """F(y + c0, z + c1), exact: F evaluated at the shifted variables."""
+    return F.eval(BiPoly.variable("y") + c0, BiPoly.variable("z") + c1)
 
 
 def univariate_slice(F, axis, v):

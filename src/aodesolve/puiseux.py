@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
-from .numbers import (QQ, AlgebraicNumber, as_alg, common_tower, isolate_roots,
-                      lift, scalar_json)
+from .numbers import (AlgebraicNumber, as_alg, common_tower, common_tower_of,
+                      isolate_roots, lift, scalar_json)
 from .poly import BiPoly, UniPoly, translate
 from .series import TruncatedSeries, invert
 from . import factor as _factor
@@ -191,26 +191,17 @@ def _expand(H, tower, n, cap, depth=0):
     for edge in newton_polygon(H):
         phi = _char_poly(H, edge, tower)
         u, v = _bezout(edge.p, edge.q)
-        for fac, mult in _factor.factor_over_tower(phi, tower):
-            if fac.degree == 1:
-                root_towers = [(tower, -lift(fac.coeffs[0], tower))]
+        for xi, mult in _factor.roots_by_factor(phi, tower, cap):
+            t2 = xi.tower
+            H1 = _transform(_lift_poly(H, t2), edge, u, v, xi)
+            step = (edge.p, edge.q, u, v, xi)
+            if mult == 1:
+                tail, exact = _regular_tail(H1, n)
+                branches.append(_Branch([step], tail, t2, exact))
             else:
-                reps = _factor._factor_reps(fac, tower)
-                boxes = isolate_roots(tower, reps, tower.height)
-                root_towers = []
-                for box in boxes:
-                    t2, g = _factor.extend_by_factor(tower, fac, box, cap=cap)
-                    root_towers.append((t2, g))
-            for t2, xi in root_towers:
-                H1 = _transform(_lift_poly(H, t2), edge, u, v, xi)
-                step = (edge.p, edge.q, u, v, xi)
-                if mult == 1:
-                    tail, exact = _regular_tail(H1, n)
-                    branches.append(_Branch([step], tail, t2, exact))
-                else:
-                    for sub in _expand(H1, t2, n, cap, depth + 1):
-                        branches.append(_Branch([step] + sub.steps, sub.tail,
-                                                sub.tower, sub.exact))
+                for sub in _expand(H1, t2, n, cap, depth + 1):
+                    branches.append(_Branch([step] + sub.steps, sub.tail,
+                                            sub.tower, sub.exact))
     return branches
 
 
@@ -307,7 +298,7 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
     c0, c1 = _unify_coords(*center)
     if F.eval(c0, c1) != 0:
         raise PointNotOnCurve("the point is not on the curve")
-    tower = _coord_tower(c0, c1)
+    tower = common_tower_of((c0, c1))
     G = translate(F, c0, c1)
     mult = G.min_total_degree()
     branches = _expand(G, tower, n, cap)
@@ -333,17 +324,6 @@ def _unify_coords(c0, c1):
         if common_tower(c0.tower, c1.tower) is None:
             return _factor.lift_to_common(c0, c1)
     return c0, c1
-
-
-def _coord_tower(c0, c1):
-    t = QQ
-    for c in (c0, c1):
-        if isinstance(c, AlgebraicNumber):
-            t2 = common_tower(t, c.tower)
-            if t2 is None:
-                raise ValueError("center coordinates live in incompatible towers")
-            t = t2
-    return t
 
 
 def _assemble(br):

@@ -10,7 +10,7 @@ that the inputs actually certify.
 from fractions import Fraction
 
 from .errors import InnerNotPositiveOrder, NotAUnit
-from .numbers import AlgebraicNumber, inv, scalar_json
+from .numbers import AlgebraicNumber, inv, power, scalar_json
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -148,15 +148,7 @@ class TruncatedSeries:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer powers only")
-        result = TruncatedSeries([_F1], None)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, TruncatedSeries([_F1], None))
 
     def truncate(self, n):
         """Restrict certification to order n (n <= current certification)."""
@@ -296,7 +288,11 @@ def invert(a, trunc=None):
 
 
 def compose(outer, inner):
-    """outer(inner) with the certified order propagated."""
+    """outer(inner) with the certified order t propagated: Horner's rule
+    (UniPoly.eval) on the outer coefficients at the inner series cut to
+    order t, so no intermediate carries an exact blowup."""
+    from .poly import UniPoly
+
     io = inner.order_lower_bound()
     if io < 1:
         raise InnerNotPositiveOrder("inner series must have order >= 1")
@@ -311,20 +307,6 @@ def compose(outer, inner):
         t = min(cands)
         if t == float("inf"):  # composing with the exact zero inner series
             t = None
-    acc = TruncatedSeries([_F0], t)
-    ncoeffs = len(outer.coeffs) if outer.trunc is None else outer.trunc + 1
-    for k in range(ncoeffs - 1, -1, -1):
-        acc = acc * inner
-        ck = outer[k]
-        if ck != 0:
-            acc = acc + TruncatedSeries([ck], None)
-        if t is not None:
-            acc = _cap(acc, t)
-    return acc if t is None else _cap(acc, t)
-
-
-def _cap(s, t):
-    """Keep certification at exactly t (used to stop exact blowup)."""
-    if s.trunc is not None and s.trunc <= t:
-        return s
-    return TruncatedSeries(list(s.coeffs[:t + 1]), t)
+    if t is None:
+        return _coerce(UniPoly(outer.coeffs).eval(inner))
+    return _coerce(UniPoly(outer.coeffs).eval(inner.truncate(t))).truncate(t)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
-from .numbers import QQ, AlgebraicNumber, common_tower, inv, scalar_json
+from .numbers import QQ, common_tower, common_tower_of, inv, scalar_json
 from .poly import (BiPoly, Point, multiplicity_at, separant, solve_system,
                    univariate_slice, validate_input)
 from .puiseux import _unify_coords, places_at
@@ -128,7 +128,7 @@ def is_order_suitable(place):
     else:
         lemma = (e == 1)
     if suitable != lemma:
-        raise AssertionError("order-suitability criteria disagree")
+        raise ArithmeticError("order-suitability criteria disagree")
     return suitable
 
 
@@ -183,7 +183,7 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
             continue
         m_out = max(n, mult + place.e)
         S = reparametrize(place, m_out)
-        if common_tower(_series_tower(S), place.tower) is None:
+        if common_tower(common_tower_of(S.coeffs), place.tower) is None:
             raise ArithmeticError("reparametrization left the place tower")
         ytilde = _compose_A(place, S, m_out)
         if ytilde[0] - place.center[0] != 0 or ytilde[1] - place.center[1] != 0:
@@ -194,19 +194,8 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             if out[i].series.agrees_with(out[j].series):
-                raise AssertionError("solve_at produced coinciding truncations")
+                raise ArithmeticError("solve_at produced coinciding truncations")
     return out
-
-
-def _series_tower(S):
-    t = QQ
-    for c in S.coeffs:
-        if isinstance(c, AlgebraicNumber):
-            t2 = common_tower(t, c.tower)
-            if t2 is None:
-                return c.tower
-            t = t2
-    return t
 
 
 def _compose_A(place, S, m_out):

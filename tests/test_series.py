@@ -98,6 +98,26 @@ def test_compose_requires_positive_order():
         compose(S([1, 1], 3), S([1, 1], 3))
 
 
+def test_compose_truncated_outer_exact_inner_of_order_two():
+    # outer is certified to t^2 only and inner = t^2 exactly, so the
+    # composition is certified through t^(2*3 - 1) = t^5
+    c = compose(S([1, 2, 3], 2), S([0, 0, 1]))
+    assert c.trunc == 5
+    assert list(c.coeffs) == [1, 0, 2, 0, 3, 0]
+
+
+def test_compose_with_exact_zero_inner():
+    # outer(0) is outer's constant term, exactly, whatever outer's order
+    zero = S([], None)
+    assert compose(S([5, 2, 3], 2), zero) == S([5])
+    assert compose(S([7, 1]), zero) == S([7])
+    assert compose(S([0, 1], 1), zero).is_zero_series()
+
+
+def test_compose_zero_outer_keeps_inner_order():
+    assert compose(S([]), S([0, 1], 3)) == S([0], 3)
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(7)
 
