@@ -10,7 +10,7 @@ import json
 import sys
 
 from .errors import ExtensionLimitExceeded, SolverError
-from .numbers import scalar_json
+from .numbers import DEFAULT_DEGREE_CAP, scalar_json
 from .parsing import parse_initial_tuple, parse_polynomial
 from .poly import multiplicity_at, validate_input
 from .puiseux import default_bound, places_at
@@ -25,28 +25,32 @@ def _build_parser():
                     "algebraic ODEs F(y, y') = 0 via places of the curve "
                     "F(y, z) = 0.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_at):
+    # each subcommand registers only the options it reads
+    for name, text, opts in (
+            ("solve", "solutions at an initial tuple", ("at", "order", "cap")),
+            ("direct", "separant recursion at a tuple", ("at", "order", "cap")),
+            ("classify", "partition initial tuples by solution count",
+             ("order", "cap", "jobs")),
+            ("places", "places at every critical point", ("order", "cap")),
+            ("critical", "the critical set", ("cap",)),
+            ("constants", "constant solutions", ("cap",)),
+            ("bound", "singular-part truncation bound", ())):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--ode", required=True, help="polynomial in y and y'")
-        if with_at:
+        if "at" in opts:
             p.add_argument("--at", required=True, metavar="C0,C1",
                            help="initial tuple, e.g. \"1, sqrt(2)\"")
-        p.add_argument("--order", type=int, default=None, metavar="N",
-                       help="truncation order (N >= 1)")
+        if "order" in opts:
+            p.add_argument("--order", type=int, default=None, metavar="N",
+                           help="truncation order (N >= 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--degree-cap", type=int, default=64,
-                       help="maximum tower extension degree (default 64)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel classification workers")
-
-    common(sub.add_parser("solve", help="solutions at an initial tuple"), True)
-    common(sub.add_parser("direct", help="separant recursion at a tuple"), True)
-    common(sub.add_parser("classify", help="partition initial tuples by "
-                          "solution count"), False)
-    common(sub.add_parser("places", help="places at every critical point"), False)
-    common(sub.add_parser("critical", help="the critical set"), False)
-    common(sub.add_parser("constants", help="constant solutions"), False)
-    common(sub.add_parser("bound", help="singular-part truncation bound"), False)
+        if "cap" in opts:
+            p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+                           help="maximum tower extension degree (default %d)"
+                                % DEFAULT_DEGREE_CAP)
+        if "jobs" in opts:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel classification workers")
     return ap
 
 
@@ -74,10 +78,6 @@ def _write_json(obj, out):
 def _run(args, out):
     F = parse_polynomial(args.ode)
     F = validate_input(F)
-    order = args.order
-    if order is not None and order < 1:
-        raise ValueError("--order must be >= 1")
-    cap = args.degree_cap
 
     if args.command == "bound":
         n = default_bound(F)
@@ -87,8 +87,9 @@ def _run(args, out):
             out.write("%d\n" % n)
         return 0
 
+    cap = args.degree_cap
     if args.command == "constants":
-        consts = constant_solutions(F)
+        consts = constant_solutions(F, cap)
         if args.format == "json":
             _write_json({"constants": [scalar_json(c) for c in consts]}, out)
         else:
@@ -96,13 +97,17 @@ def _run(args, out):
         return 0
 
     if args.command == "critical":
-        crit = critical_set(F)
+        crit = critical_set(F, cap)
         if args.format == "json":
             _write_json({"critical": crit.to_json()}, out)
         else:
             for p, tags in crit:
                 out.write("%s  [%s]\n" % (_render_point(p), ", ".join(sorted(tags))))
         return 0
+
+    order = args.order
+    if order is not None and order < 1:
+        raise ValueError("--order must be >= 1")
 
     if args.command == "classify":
         n = order if order is not None else 2 * (F.deg_y + F.deg_z)
@@ -125,7 +130,7 @@ def _run(args, out):
 
     if args.command == "places":
         n = order if order is not None else default_bound(F)
-        crit = critical_set(F)
+        crit = critical_set(F, cap)
         records = []
         for p, _tags in crit:
             records.append((p, places_at(F, p, n, cap=cap)))

@@ -98,13 +98,6 @@ class Box:
         return Box(self.re_lo + other.re_lo, self.re_hi + other.re_hi,
                    self.im_lo + other.im_lo, self.im_hi + other.im_hi)
 
-    def __sub__(self, other):
-        return Box(self.re_lo - other.re_hi, self.re_hi - other.re_lo,
-                   self.im_lo - other.im_hi, self.im_hi - other.im_lo)
-
-    def __neg__(self):
-        return Box(-self.re_hi, -self.re_lo, -self.im_hi, -self.im_lo)
-
     def __mul__(self, other):
         # (a+bi)(c+di): interval products, each factor treated independently
         ac = _imul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
@@ -118,18 +111,6 @@ class Box:
         rlo, rhi = _isq(self.re_lo, self.re_hi)
         ilo, ihi = _isq(self.im_lo, self.im_hi)
         return rlo + ilo, rhi + ihi
-
-    def reciprocal(self):
-        """Enclosure of 1/z; requires the box to exclude zero."""
-        mlo, mhi = self.abs2_bounds()
-        if mlo == 0:
-            raise ZeroDivisionError("box may contain zero")
-        inv = Box(Fraction(1, 1) / mhi, Fraction(1, 1) / mlo, 0, 0)
-        conj = Box(self.re_lo, self.re_hi, -self.im_hi, -self.im_lo)
-        return conj * inv
-
-    def __truediv__(self, other):
-        return self * other.reciprocal()
 
     def intersects(self, other):
         return not (self.re_hi < other.re_lo or other.re_hi < self.re_lo or

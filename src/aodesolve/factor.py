@@ -11,11 +11,9 @@ back as distinct values in distinct towers.
 from fractions import Fraction
 
 from .errors import ExtensionLimitExceeded
-from .numbers import (QQ, AlgebraicNumber, Level, Tower, as_alg, common_tower,
-                      isolate_roots, level_box, lift, rep_lift)
+from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
+                      common_tower, isolate_roots, level_box, lift, rational, rep_lift)
 from .poly import UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
-
-DEFAULT_DEGREE_CAP = 64
 
 _F1 = Fraction(1)
 
@@ -35,7 +33,7 @@ def factor_q(p):
     x = sympy.Symbol("x")
     expr = sympy.Integer(0)
     for k, c in enumerate(p.coeffs):
-        q = c if isinstance(c, Fraction) else Fraction(c)
+        q = rational(c)
         expr += sympy.Rational(q.numerator, q.denominator) * x**k
     _, factors = sympy.factor_list(sympy.Poly(expr, x))
     out = []
@@ -65,10 +63,7 @@ def factor_over_tower(p, tower):
 
 
 def _rationalize(p):
-    coeffs = []
-    for c in p.coeffs:
-        coeffs.append(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
-    return UniPoly(coeffs, p.var)
+    return UniPoly([rational(c) for c in p.coeffs], p.var)
 
 
 def _norm(p, tower):
@@ -199,6 +194,37 @@ def all_roots(p, tower, cap=DEFAULT_DEGREE_CAP):
     return _sorted_roots(roots_by_factor(p, tower, cap))
 
 
+def pick_root(p, tower, accept, name=None, cap=DEFAULT_DEGREE_CAP):
+    """The one root of p whose enclosure passes ``accept(box, prec)``;
+    (tower, root), the tower extended by the root's factor when the root
+    is not in it.  Enclosures of width 2^-prec are tried at prec = 48,
+    96, ... until exactly one root passes; none passing, or still
+    several after the last round, is an ArithmeticError."""
+    factors = factor_over_tower(p, tower)
+    prec = 48
+    for _ in range(8):
+        hits = []
+        for f, _ in factors:
+            if f.degree == 1:
+                root = -lift(f.coeffs[0], tower)
+                if accept(root.box(prec), prec):
+                    hits.append((f, None, root))
+                continue
+            for box in isolate_roots(tower, _factor_reps(f, tower), tower.height,
+                                     min_prec=prec):
+                if accept(box, prec):
+                    hits.append((f, box, None))
+        if len(hits) == 1:
+            f, box, root = hits[0]
+            if root is not None:
+                return tower, root
+            return extend_by_factor(tower, f, box, name=name, cap=cap)
+        if not hits:
+            break
+        prec *= 2
+    raise ArithmeticError("no unique root passes the enclosure test")
+
+
 # ---------------------------------------------------------------------------
 # minimal polynomials over Q, exact cross-tower equality, common towers
 
@@ -229,8 +255,7 @@ def alg_eq(x, y):
     p = minpoly_over_q(x)
     if p != minpoly_over_q(y):
         return False
-    rboxes = isolate_roots(QQ, [Fraction(c) if not isinstance(c, AlgebraicNumber)
-                                else c.as_fraction() for c in p.coeffs], 0)
+    rboxes = isolate_roots(QQ, [rational(c) for c in p.coeffs], 0)
     return _root_index(x, rboxes) == _root_index(y, rboxes)
 
 
@@ -251,8 +276,11 @@ def lift_to_common(x, y, cap=DEFAULT_DEGREE_CAP):
     imgs = []
     for j, lev in enumerate(y.tower.levels):
         mapped = [_map_rep(r, j, imgs, target) for r in lev.minpoly]
-        pol = UniPoly(mapped, "x")
-        target, g = _adjoin_matching(target, pol, y.tower, j, cap=cap)
+        # the image of y's level-j generator: the root whose enclosure
+        # meets the generator's own
+        target, g = pick_root(UniPoly(mapped, "x"), target,
+                              lambda box, prec: box.intersects(level_box(y.tower, j, prec)),
+                              cap=cap)
         imgs.append(g)
     ylift = _map_rep(rep_lift(y.rep, y.level, y.tower.height),
                      y.tower.height, imgs, target)
@@ -267,30 +295,3 @@ def _map_rep(rep, level, imgs, target):
         rep = (rep,) if rep else ()
     mapped = [_map_rep(c, level - 1, imgs, target) for c in rep]
     return lift(UniPoly(mapped).eval(imgs[level - 1]), target)
-
-
-def _adjoin_matching(target, pol, source_tower, j, cap=DEFAULT_DEGREE_CAP):
-    """Adjoin to ``target`` the root of ``pol`` that equals the level-j
-    generator of ``source_tower`` (matched by enclosure)."""
-    factors = factor_over_tower(pol, target)
-    prec = 64
-    for _ in range(8):
-        gbox = level_box(source_tower, j, prec)
-        hits = []
-        for f, _ in factors:
-            if f.degree == 1:
-                val = -as_alg(f.coeffs[0], target)
-                if val.box(prec).intersects(gbox):
-                    hits.append((f, None, val))
-            else:
-                reps = _factor_reps(f, target)
-                for box in isolate_roots(target, reps, target.height, min_prec=prec // 2):
-                    if box.intersects(gbox):
-                        hits.append((f, box, None))
-        if len(hits) == 1:
-            f, box, val = hits[0]
-            if val is not None:
-                return target, val
-            return extend_by_factor(target, f, box, cap=cap)
-        prec *= 2
-    raise ArithmeticError("could not match generator embedding")

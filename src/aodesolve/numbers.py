@@ -21,6 +21,9 @@ from .errors import DivisionByZero
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+# the largest degree over Q a tower may reach (the CLI's --degree-cap)
+DEFAULT_DEGREE_CAP = 64
+
 
 # ---------------------------------------------------------------------------
 # raw rep helpers
@@ -32,13 +35,6 @@ def rep_is_zero(rep):
 
 def rep_zero(level):
     return () if level else _F0
-
-
-def rep_from_fraction(q, level):
-    rep = Fraction(q)
-    for _ in range(level):
-        rep = (rep,) if rep else ()
-    return rep
 
 
 def rep_lift(rep, from_level, to_level):
@@ -160,7 +156,7 @@ def rep_inv(tower, level, a):
     r0 = list(lev.minpoly)
     r1 = list(a)
     t0 = []
-    t1 = [rep_from_fraction(1, sub)]
+    t1 = [rep_lift(_F1, 0, sub)]
     while len(_trim(r1)) > 1:
         q, r = _poly_divmod(tower, sub, r0, r1)
         r0, r1 = r1, r
@@ -171,6 +167,10 @@ def rep_inv(tower, level, a):
     c_inv = rep_inv(tower, sub, r1[0])
     out = [rep_mul(tower, sub, t, c_inv) for t in t1]
     return _reduce_mod(tower, level, out)
+
+
+def _rep_div(tower, level, a, b):
+    return rep_mul(tower, level, a, rep_inv(tower, level, b))
 
 
 # dense polynomial helpers over reps at a fixed level (used by rep_mul
@@ -282,7 +282,7 @@ class Tower:
 
     def generator(self, i):
         """The pinned root adjoined at level index i (0-based)."""
-        rep = (rep_zero(i), rep_from_fraction(1, i))
+        rep = (rep_zero(i), rep_lift(_F1, 0, i))
         return AlgebraicNumber(self, i + 1, rep)
 
     def rational(self, q):
@@ -483,15 +483,7 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, tower = pair
-        k = max(a.level, b.level)
-        ra = rep_lift(a.rep, a.level, k)
-        rb = rep_lift(b.rep, b.level, k)
-        inv = rep_inv(tower, k, rb)
-        return AlgebraicNumber(tower, k, rep_mul(tower, k, ra, inv))
+        return self._binop(other, _rep_div)
 
     def __rtruediv__(self, other):
         o = AlgebraicNumber._as_scalar(other, self.tower)
@@ -658,6 +650,13 @@ def lift(c, tower):
     return c
 
 
+def rational(c):
+    """``c`` as a Fraction; an AlgebraicNumber must be rational."""
+    if isinstance(c, AlgebraicNumber):
+        return c.as_fraction()
+    return Fraction(c)
+
+
 def inv(c):
     """1/c, exact (``1 / int`` would be a float)."""
     if isinstance(c, AlgebraicNumber):
@@ -696,7 +695,7 @@ def scalar_json(c):
     record otherwise."""
     if isinstance(c, AlgebraicNumber) and not c.is_rational():
         return c.to_json()
-    return str(c.as_fraction() if isinstance(c, AlgebraicNumber) else Fraction(c))
+    return str(rational(c))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,6 @@ class _Tokens:
         if kind != "op" or val != op:
             raise ParseError("expected %r" % op, position=pos)
 
-    def error(self, msg):
-        _, _, pos = self.peek()
-        raise ParseError(msg, position=pos)
-
 
 class _PolyParser:
     """Recursive descent producing BiPoly over Q; ``allowed`` names the
@@ -177,9 +173,6 @@ class _ScalarParser(_PolyParser):
 
     def const(self, q):
         return AlgebraicNumber(self.tower, 0, q)
-
-    def variable(self, name):
-        raise ParseError("variables are not allowed in scalars")
 
     def atom(self):
         kind, val, pos = self.t.peek()

@@ -11,7 +11,8 @@ from functools import lru_cache
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
-from .numbers import QQ, AlgebraicNumber, as_alg, inv, lift, power
+from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, power,
+                      rational)
 from .series import TruncatedSeries
 
 _F0 = Fraction(0)
@@ -472,12 +473,8 @@ def univariate_slice(F, axis, v):
         cols = F.as_poly_in_y()
     else:
         raise ValueError("axis must be 'y' or 'z'")
-    acc = UniPoly([], axis)
-    p = _F1
-    for cy in cols:
-        acc = acc + cy.scale(p)
-        p = p * v
-    return UniPoly(acc.coeffs, axis)
+    # the sum relabels the result to the axis, and is 0 for the zero F
+    return UniPoly([], axis) + UniPoly(cols).eval(v)
 
 
 def multiplicity_at(F, point):
@@ -565,7 +562,7 @@ class Point:
         return [self.y.to_json(), self.z.to_json()]
 
 
-def solve_system(F, G):
+def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     """All common affine zeros of F and G over the algebraic closure.
 
     Resultant in each variable plus exact back-substitution; every
@@ -591,7 +588,7 @@ def solve_system(F, G):
         base = fy if fy is not None else gy
         ry = base
     points = []
-    for y0, _m in factor.all_roots(ry, QQ):
+    for y0, _m in factor.all_roots(ry, QQ, cap):
         t = y0.tower
         fz = univariate_slice(F, "z", y0)
         gz = univariate_slice(G, "z", y0)
@@ -605,7 +602,7 @@ def solve_system(F, G):
             h = uni_gcd(fz, gz)
         if h.is_constant():
             continue
-        for z0, _m2 in factor.all_roots(h, t):
+        for z0, _m2 in factor.all_roots(h, t, cap):
             points.append(Point(lift(y0, z0.tower), z0))
     points.sort(key=lambda p: p.sort_key())
     return points
@@ -632,7 +629,7 @@ def _validate_cached(F):
     if F.deg_y <= 0:
         # univariate in z with deg >= 2: always splits over an extension
         from . import factor
-        p = UniPoly([_as_fraction(c) for c in _z_only_coeffs(F)], "x")
+        p = UniPoly([rational(c) for c in univariate_slice(F, "z", 0).coeffs], "x")
         _, root = factor.adjoin_root(QQ, p)
         witness = BiPoly({(0, 1): _F1, (0, 0): -root})
         raise NotIrreducible("F factors over an algebraic extension",
@@ -646,24 +643,13 @@ def _validate_cached(F):
     return F
 
 
-def _z_only_coeffs(F):
-    dz = F.deg_z
-    return [F.coeff(0, j) for j in range(dz + 1)]
-
-
-def _as_fraction(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.as_fraction()
-    return Fraction(c)
-
-
 def _check_q_irreducible(F):
     import sympy
 
     y, z = sympy.symbols("y z")
     expr = sympy.Integer(0)
     for (i, j), c in F.terms.items():
-        q = _as_fraction(c)
+        q = rational(c)
         expr += sympy.Rational(q.numerator, q.denominator) * y**i * z**j
     _, factors = sympy.factor_list(sympy.Poly(expr, y, z))
     nontrivial = [(p, e) for p, e in factors if p.total_degree() > 0]
@@ -698,7 +684,7 @@ def ruppert_factor_count(F):
     cols = len(g_idx) + len(h_idx)
     rows = {}
 
-    f = {k: _as_fraction(c) for k, c in F.terms.items()}
+    f = {k: rational(c) for k, c in F.terms.items()}
 
     def add(row_key, col, val):
         if val == 0:

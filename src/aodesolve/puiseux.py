@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
-from .numbers import (AlgebraicNumber, as_alg, common_tower, common_tower_of,
-                      isolate_roots, lift, scalar_json)
+from .numbers import (AlgebraicNumber, as_alg, common_tower, common_tower_of, lift,
+                      scalar_json)
 from .poly import BiPoly, UniPoly, translate
-from .series import TruncatedSeries, invert
+from .series import TruncatedSeries, compose, invert
 from . import factor as _factor
 
 _F0 = Fraction(0)
@@ -331,22 +331,16 @@ def _assemble(br):
     lam = Fraction(1)
     e = 1
     for (p, q, u, v, xi) in reversed(br.steps):
-        lam_q = lam ** q if isinstance(lam, AlgebraicNumber) else Fraction(lam) ** q
         base = Z + TruncatedSeries.constant(xi ** u)
-        Z = base.scale(lam_q).shift(e * q)
-        lam_p = lam ** p if isinstance(lam, AlgebraicNumber) else Fraction(lam) ** p
-        lam = (xi ** v) * lam_p
+        Z = base.scale(lam ** q).shift(e * q)
+        lam = (xi ** v) * lam ** p
         e = e * p
     return lam, e, Z
 
 
 def _rescale(Z, rho):
-    out = []
-    p = rho ** 0
-    for c in Z.coeffs:
-        out.append(c * p)
-        p = p * rho
-    return TruncatedSeries(out, Z.trunc)
+    """Z(rho t)."""
+    return compose(Z, TruncatedSeries.exact([_F0, rho]))
 
 
 def _normalize(lam, e, Z, tower, cap):
@@ -391,20 +385,9 @@ def _adjoin_positive_real_root(tower, radicand, e, cap):
     pinned by its enclosure."""
     name = "sqrt(%s)" % radicand if e == 2 else "(%s)^(1/%d)" % (radicand, e)
     pol = UniPoly([-Fraction(radicand)] + [_F0] * (e - 1) + [_F1], "x")
-    for f, _ in _factor.factor_over_tower(pol, tower):
-        if f.degree < 2:
-            continue
-        reps = _factor._factor_reps(f, tower)
-        prec = 48
-        for _ in range(6):
-            boxes = isolate_roots(tower, reps, tower.height, min_prec=prec)
-            cands = [b for b in boxes if b.im_lo <= 0 <= b.im_hi and b.re_lo > 0]
-            if len(cands) == 1:
-                return _factor.extend_by_factor(tower, f, cands[0], name=name, cap=cap)
-            if not cands:
-                break
-            prec *= 2
-    raise ArithmeticError("real root selection failed")
+    return _factor.pick_root(pol, tower,
+                             lambda box, prec: box.im_lo <= 0 <= box.im_hi and box.re_lo > 0,
+                             name=name, cap=cap)
 
 
 def _place_sort_key(pl):

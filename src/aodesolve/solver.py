@@ -185,7 +185,7 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
         S = reparametrize(place, m_out)
         if common_tower(common_tower_of(S.coeffs), place.tower) is None:
             raise ArithmeticError("reparametrization left the place tower")
-        ytilde = _compose_A(place, S, m_out)
+        ytilde = compose(place.A, S)  # S is certified to m_out
         if ytilde[0] - place.center[0] != 0 or ytilde[1] - place.center[1] != 0:
             raise ArithmeticError("solution does not start at the initial tuple")
         out.append(SolutionTruncation(ytilde, InitialTuple(place.center[0],
@@ -198,32 +198,24 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     return out
 
 
-def _compose_A(place, S, m_out):
-    # A(S) = c0 + lam * S^e
-    acc = S ** place.e
-    acc = acc.truncate(min(acc.trunc, m_out)) if acc.trunc is not None else acc
-    acc = acc.scale(place.lam) + TruncatedSeries.constant(place.center[0])
-    return acc.truncate(min(acc.trunc, m_out))
-
-
 # ---------------------------------------------------------------------------
 # constants, critical set, classification
 
 
-def constant_solutions(F):
+def constant_solutions(F, cap=_factor.DEFAULT_DEGREE_CAP):
     """First coordinates of C(F) on the line z = 0 (distinct values)."""
     validate_input(F)
     p = univariate_slice(F, "y", _F0)
-    roots = _factor.all_roots(p, QQ)
+    roots = _factor.all_roots(p, QQ, cap)
     return [r for r, _ in roots]
 
 
-def critical_set(F):
+def critical_set(F, cap=_factor.DEFAULT_DEGREE_CAP):
     """V(F, z) u V(F, S_F), tagged by membership."""
     validate_input(F)
     zpoly = BiPoly.variable("z")
-    on_axis = solve_system(F, zpoly)
-    sep = solve_system(F, separant(F))
+    on_axis = solve_system(F, zpoly, cap)
+    sep = solve_system(F, separant(F), cap)
     points = []
     for p in on_axis:
         points.append((p, {"on_z_axis"}))
@@ -246,7 +238,7 @@ def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
     processes; the merge order is fixed by the point order either way.
     """
     validate_input(F)
-    crit = critical_set(F)
+    crit = critical_set(F, cap)
     points = crit.plain_points()
     counts = None
     if jobs > 1 and len(points) > 1:
@@ -260,7 +252,7 @@ def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
             a1_extra.append(p)
         else:
             buckets.setdefault(count, []).append(p)
-    return Classification(buckets, points, a1_extra, constant_solutions(F))
+    return Classification(buckets, points, a1_extra, constant_solutions(F, cap))
 
 
 def _count_at(arg):
@@ -274,7 +266,7 @@ def _parallel_counts(F, points, n, cap, jobs):
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_count_at, [(F, p, n, cap) for p in points]))
-    except (OSError, TypeError, AttributeError, ImportError):
+    except (OSError, ImportError):  # the pool could not start: run serially
         return None
 
 

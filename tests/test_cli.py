@@ -141,6 +141,21 @@ def test_cli_resource_exit_code():
     assert code == 3
 
 
+def test_cli_degree_cap_applies_to_critical_and_constants():
+    # y^3 = 2 on the line z = 0 needs a degree-3 root
+    for command in ("critical", "constants"):
+        code, _, err = run_cli(command, "--ode", "(y')^2 - y^3 + 2",
+                               "--degree-cap", "1")
+        assert code == 3 and "resource limit" in err
+
+
+def test_cli_rejects_an_option_the_subcommand_does_not_read():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "-1, 0",
+                "--jobs", "2")
+    assert exc.value.code == 2
+
+
 def test_cli_json_solve_round_trip():
     code, out, _ = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2",
                            "--at", "-1, 0", "--order", "4", "--format", "json")

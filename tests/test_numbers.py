@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
-from aodesolve.factor import adjoin_root, alg_eq, all_roots, roots_in_tower
+from aodesolve.factor import adjoin_root, alg_eq, all_roots, pick_root, roots_in_tower
 from aodesolve.numbers import (QQ, AlgebraicNumber, field_arith,
                                numeric_enclosure)
 from aodesolve.poly import UniPoly
@@ -162,6 +162,20 @@ def test_cross_tower_lift():
     _, r3 = adjoin_root(QQ, _upoly(-3, 0, 1), name="sqrt(3)")
     s = r2 + r3  # incompatible towers: lifted automatically
     assert ((s * s - 5) ** 2) == 24
+
+
+def test_cross_tower_lift_root_already_in_tower():
+    # sqrt(2) = a^2 / 2 lies in Q(a), a = 8^(1/4): the lift adds no level
+    _, a = adjoin_root(QQ, _upoly(-8, 0, 0, 0, 1))
+    _, r2 = adjoin_root(QQ, _upoly(-2, 0, 1))
+    s = a + r2
+    assert s.tower == a.tower and s.tower.height == 1
+    assert 2 * (s - a) == a * a
+
+
+def test_pick_root_without_a_passing_root():
+    with pytest.raises(ArithmeticError):
+        pick_root(_upoly(-2, 0, 1), QQ, lambda box, prec: False)
 
 
 def test_extension_limit():

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 from fractions import Fraction as F
 
@@ -10,6 +12,7 @@ from aodesolve.numbers import QQ, AlgebraicNumber
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
 from aodesolve.puiseux import Place, places_at
 from aodesolve.series import TruncatedSeries, derivative
+from aodesolve import solver
 from aodesolve.solver import (classify, constant_solutions, critical_set,
                               direct_method, is_order_suitable, reparametrize,
                               solve_at)
@@ -302,3 +305,19 @@ def test_parallel_classify_matches(ex1):
     assert set(seq.buckets) == set(par.buckets)
     for k in seq.buckets:
         assert len(seq.buckets[k]) == len(par.buckets[k])
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched solve_at")
+def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
+    # a fault inside a worker is not a reason to fall back to serial
+    parent, real = os.getpid(), solver.solve_at
+
+    def solve_at(*args, **kwargs):
+        if os.getpid() != parent:
+            raise TypeError("fault inside a worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_at", solve_at)
+    with pytest.raises(TypeError):
+        classify(ex1, 4, jobs=2)
