@@ -225,7 +225,7 @@ class Level:
     """One simple extension: a monic minimal polynomial over the tower
     below and an isolating box pinning one of its complex roots."""
 
-    __slots__ = ("name", "minpoly", "degree", "seed", "_boxes", "_best_mid", "_hash")
+    __slots__ = ("name", "minpoly", "degree", "seed", "_boxes", "_best_mid")
 
     def __init__(self, name, minpoly, seed):
         self.name = name
@@ -234,7 +234,6 @@ class Level:
         self.seed = seed  # Box isolating the pinned root
         self._boxes = {}
         self._best_mid = (seed.mid_re, seed.mid_im)
-        self._hash = None
 
     def _key(self):
         return (self.name, self.minpoly,
@@ -246,9 +245,7 @@ class Level:
         return self._key() == other._key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self):
         return "Level(%s, deg %d)" % (self.name, self.degree)
@@ -257,11 +254,10 @@ class Level:
 class Tower:
     """An immutable tower of simple extensions; the empty tower is Q."""
 
-    __slots__ = ("levels", "_hash")
+    __slots__ = ("levels",)
 
     def __init__(self, levels=()):
         self.levels = tuple(levels)
-        self._hash = None
 
     def degree(self):
         d = 1
@@ -294,9 +290,7 @@ class Tower:
         return self.levels == other.levels
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.levels)
-        return self._hash
+        return hash(self.levels)
 
     def __repr__(self):
         if not self.levels:

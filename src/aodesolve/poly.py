@@ -13,7 +13,7 @@ from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
 from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, power,
                       rational)
-from .series import TruncatedSeries
+from .series import TruncatedSeries, derivative as _derivative, join_terms
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -23,17 +23,18 @@ _F1 = Fraction(1)
 # univariate polynomials
 
 
-class UniPoly:
-    """Dense univariate polynomial, ascending coefficients."""
+class UniPoly(TruncatedSeries):
+    """Dense univariate polynomial, ascending coefficients: an exact
+    TruncatedSeries with a variable name, division and Horner eval."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("var",)
 
     def __init__(self, coeffs, var="x"):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        TruncatedSeries.__init__(self, coeffs)
         self.var = var
+
+    def _like(self, coeffs, trunc):
+        return UniPoly(coeffs, self.var) if trunc is None else TruncatedSeries(coeffs, trunc)
 
     @property
     def degree(self):
@@ -50,58 +51,9 @@ class UniPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else _F0
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[i] + other[i] for i in range(n)], self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs], self.var)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly([], self.var)
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly(out, self.var)
-
-    __rmul__ = __mul__
-
-    def scale(self, s):
-        return UniPoly([c * s for c in self.coeffs], self.var)
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly([other], self.var)
-
-    def __pow__(self, n):
-        return power(self, n, UniPoly([_F1], self.var))
+    # perfbench/tracer.py times UniPoly.__mul__ as a row of its own, so the
+    # name is bound here; __rmul__ keeps scalar * polynomial out of series.mul
+    __mul__ = __rmul__ = TruncatedSeries.__mul__
 
     def divmod(self, other):
         """Division over a field of scalars."""
@@ -135,8 +87,7 @@ class UniPoly:
             return self
         return self.scale(inv(self.lc()))
 
-    def derivative(self):
-        return UniPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.var)
+    derivative = _derivative  # the series rule; _like keeps the UniPoly
 
     def eval(self, x):
         """p(x) by Horner's rule; x may be a scalar, a UniPoly, a BiPoly
@@ -147,8 +98,7 @@ class UniPoly:
         return acc
 
     def render(self, var=None):
-        var = var or self.var
-        return TruncatedSeries.exact(list(self.coeffs)).render(var)
+        return TruncatedSeries.render(self, var or self.var)
 
     def __repr__(self):
         return "UniPoly(%s)" % self.render()
@@ -375,7 +325,7 @@ class BiPoly:
         be scalars, TruncatedSeries or BiPoly.  The zero polynomial
         evaluates to 0."""
         acc = _F0
-        for cy in reversed(self._z_coeff_polys()):
+        for cy in reversed(self.columns("y")):
             acc = acc * z + cy.eval(y)
         return acc
 
@@ -383,66 +333,32 @@ class BiPoly:
     # a row of its own
     eval_series = eval
 
-    def _z_coeff_polys(self):
-        """Coefficients of z^j as UniPoly in y, ascending in j."""
-        dz = self.deg_z
-        cols = [[] for _ in range(dz + 1)]
-        for j in range(dz + 1):
-            dy = max((i for (i, jj) in self.terms if jj == j), default=-1)
-            col = [_F0] * (dy + 1)
-            for (i, jj), c in self.terms.items():
-                if jj == j:
-                    col[i] = c
-            cols[j] = col
-        return [UniPoly(col, "y") for col in cols]
-
-    def as_poly_in_y(self):
-        dy = self.deg_y
-        cols = []
-        for i in range(dy + 1):
-            dzc = max((j for (ii, j) in self.terms if ii == i), default=-1)
-            col = [_F0] * (dzc + 1)
-            for (ii, j), c in self.terms.items():
-                if ii == i:
-                    col[j] = c
-            cols.append(UniPoly(col, "z"))
-        return cols
+    def columns(self, var):
+        """var="y": the coefficients of z^0, z^1, ... as UniPoly in y;
+        var="z": those of y^0, y^1, ... as UniPoly in z."""
+        if var not in ("y", "z"):
+            raise ValueError("axis must be 'y' or 'z'")
+        flip = var == "z"
+        cols = [[] for _ in range((self.deg_y if flip else self.deg_z) + 1)]
+        for key, c in self.terms.items():
+            i, j = key[::-1] if flip else key  # degree in var, column
+            col = cols[j]
+            col.extend([_F0] * (i + 1 - len(col)))
+            col[i] = c
+        return [UniPoly(col, var) for col in cols]
 
     def rational_coeffs(self):
         return all(not isinstance(c, AlgebraicNumber) or c.is_rational()
                    for c in self.terms.values())
 
     def render(self):
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True):
-            c = self.terms[(i, j)]
-            mono = []
-            if i:
-                mono.append("y" if i == 1 else "y^%d" % i)
-            if j:
-                mono.append("(y')" if j == 1 else "(y')^%d" % j)
-            cs = str(c)
-            composite = (" + " in cs) or (" - " in cs)
-            if composite:
-                cs = "(%s)" % cs
-            if mono:
-                body = "*".join(mono)
-                if cs == "1":
-                    term, neg = body, False
-                elif cs == "-1":
-                    term, neg = body, True
-                elif cs.startswith("-") and not composite:
-                    term, neg = "%s*%s" % (cs[1:], body), True
-                else:
-                    term, neg = "%s*%s" % (cs, body), False
-            else:
-                neg = cs.startswith("-") and not composite
-                term = cs[1:] if neg else cs
-            if not parts:
-                parts.append(("-" if neg else "") + term)
-            else:
-                parts.append(("- " if neg else "+ ") + term)
-        return " ".join(parts) if parts else "0"
+        def mono(i, j):
+            ys = "" if not i else "y" if i == 1 else "y^%d" % i
+            zs = "" if not j else "(y')" if j == 1 else "(y')^%d" % j
+            return "*".join(m for m in (ys, zs) if m)
+
+        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+        return join_terms((str(self.terms[k]), mono(*k)) for k in keys)
 
     def __repr__(self):
         return "BiPoly(%s)" % self.render()
@@ -467,14 +383,8 @@ def translate(F, c0, c1):
 def univariate_slice(F, axis, v):
     """Fix one variable: axis="y" fixes z=v giving a poly in y,
     axis="z" fixes y=v giving a poly in z."""
-    if axis == "y":
-        cols = F._z_coeff_polys()
-    elif axis == "z":
-        cols = F.as_poly_in_y()
-    else:
-        raise ValueError("axis must be 'y' or 'z'")
     # the sum relabels the result to the axis, and is 0 for the zero F
-    return UniPoly([], axis) + UniPoly(cols).eval(v)
+    return UniPoly([], axis) + UniPoly(F.columns(axis)).eval(v)
 
 
 def multiplicity_at(F, point):
@@ -488,17 +398,17 @@ def multiplicity_at(F, point):
 
 def resultant_z(F, G):
     """Resultant eliminating z; a UniPoly in y."""
-    return resultant_lists(F._z_coeff_polys(), G._z_coeff_polys(), "y")
+    return resultant_lists(F.columns("y"), G.columns("y"), "y")
 
 
 def resultant_y(F, G):
-    return resultant_lists(F.as_poly_in_y(), G.as_poly_in_y(), "z")
+    return resultant_lists(F.columns("z"), G.columns("z"), "z")
 
 
 def _content_z(F):
     """gcd over K[y] of the z-coefficients."""
     g = UniPoly([], "y")
-    for cy in F._z_coeff_polys():
+    for cy in F.columns("y"):
         if cy.is_zero():
             continue
         g = cy.monic() if g.is_zero() else uni_gcd(g, cy)
@@ -514,11 +424,11 @@ def have_common_component(F, G):
     if F.total_degree() == 0 or G.total_degree() == 0:
         return False
     if F.deg_z == 0 and G.deg_z == 0:
-        return not uni_gcd(F._z_coeff_polys()[0], G._z_coeff_polys()[0]).is_constant()
+        return not uni_gcd(F.columns("y")[0], G.columns("y")[0]).is_constant()
     if F.deg_z == 0:
-        return not uni_gcd(F._z_coeff_polys()[0], _content_z(G)).is_constant()
+        return not uni_gcd(F.columns("y")[0], _content_z(G)).is_constant()
     if G.deg_z == 0:
-        return not uni_gcd(G._z_coeff_polys()[0], _content_z(F)).is_constant()
+        return not uni_gcd(G.columns("y")[0], _content_z(F)).is_constant()
     cf, cg = _content_z(F), _content_z(G)
     if not cf.is_constant() and not cg.is_constant():
         if not uni_gcd(cf, cg).is_constant():
@@ -583,8 +493,8 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     ry = resultant_z(F, G) if F.deg_z > 0 and G.deg_z > 0 else None
     if ry is None or ry.is_zero():
         # one input free of z: y-coordinates come from gcd-style data
-        fy = F._z_coeff_polys()[0] if F.deg_z == 0 else None
-        gy = G._z_coeff_polys()[0] if G.deg_z == 0 else None
+        fy = F.columns("y")[0] if F.deg_z == 0 else None
+        gy = G.columns("y")[0] if G.deg_z == 0 else None
         base = fy if fy is not None else gy
         ry = base
     points = []

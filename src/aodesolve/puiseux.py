@@ -96,26 +96,14 @@ def newton_polygon(F):
 # branch expansion
 
 
-class _Branch:
-    __slots__ = ("steps", "tail", "tower", "exact")
-
-    def __init__(self, steps, tail, tower, exact):
-        self.steps = steps  # [(p, q, u, v, xi)], outermost first
-        self.tail = tail
-        self.tower = tower
-        self.exact = exact
-
-
 def _bezout(p, q):
     """u in 1..q, v >= 0 with u*p - v*q = 1 (gcd(p, q) = 1)."""
     u = 1 if q == 1 else pow(p, -1, q)
-    if u == 0:
-        u = 1
     v = (u * p - 1) // q
     return u, v
 
 
-def _char_poly(F, edge, tower):
+def _char_poly(F, edge):
     coeffs = []
     (i0, j0) = min(edge.points, key=lambda ij: ij[1])
     kmax = (max(j for _, j in edge.points) - j0) // edge.p
@@ -152,7 +140,8 @@ def _transform(F, edge, u, v, xi):
 
 def _regular_tail(H, n):
     """The unique series z(y), z(0) = 0, with H(y, z(y)) = 0, computed
-    to n+1 coefficients by Newton iteration; requires dH/dz(0,0) != 0."""
+    to n+1 coefficients by Newton iteration; requires dH/dz(0,0) != 0.
+    It comes back exact when those coefficients solve H exactly."""
     Hz = H.diff_z()
     coeffs = [_F0]
     tS = TruncatedSeries.exact([_F0, _F1])
@@ -163,11 +152,10 @@ def _regular_tail(H, n):
         den = Hz.eval_series(tS.truncate(k2 - 1), P)
         upd = P - num * invert(den)
         coeffs = list(upd.coeffs[:k2])
-    tail = TruncatedSeries(coeffs[:n + 1], n)
     exact_poly = TruncatedSeries.exact(coeffs[:n + 1])
-    if H.eval_series(TruncatedSeries.exact([_F0, _F1]), exact_poly).is_zero_series():
-        return exact_poly, True
-    return tail, False
+    if H.eval_series(tS, exact_poly).is_zero_series():
+        return exact_poly
+    return TruncatedSeries(coeffs[:n + 1], n)
 
 
 def _divide_out_z(H):
@@ -176,32 +164,36 @@ def _divide_out_z(H):
 
 
 def _expand(H, tower, n, cap, depth=0):
+    """The branches of H through the origin, one (lam, e, Z, tower) per
+    leaf of the polygon recursion: y = lam * t^e, z = Z(t).  Each
+    polygon step is applied to the branches of its child on the way
+    back up."""
     if depth > 64:
         raise ArithmeticError("Newton-Puiseux recursion failed to terminate")
     branches = []
     if not any(j == 0 for (_, j) in H.terms):
         # z | H: the branch terminates exactly with z = 0; the quotient
         # cannot be divisible by z again (H is squarefree in z)
-        branches.append(_Branch([], TruncatedSeries.exact([]), tower, True))
+        branches.append((Fraction(1), 1, TruncatedSeries.exact([]), tower))
         H = _divide_out_z(H)
         if not any(j == 0 for (_, j) in H.terms):
             raise ArithmeticError("transformed polynomial divisible by z twice")
     if not H.terms or H.coeff(0, 0) != 0:
         return branches
     for edge in newton_polygon(H):
-        phi = _char_poly(H, edge, tower)
-        u, v = _bezout(edge.p, edge.q)
+        p, q = edge.p, edge.q
+        phi = _char_poly(H, edge)
+        u, v = _bezout(p, q)
         for xi, mult in _factor.roots_by_factor(phi, tower, cap):
             t2 = xi.tower
             H1 = _transform(_lift_poly(H, t2), edge, u, v, xi)
-            step = (edge.p, edge.q, u, v, xi)
             if mult == 1:
-                tail, exact = _regular_tail(H1, n)
-                branches.append(_Branch([step], tail, t2, exact))
+                subs = [(Fraction(1), 1, _regular_tail(H1, n), t2)]
             else:
-                for sub in _expand(H1, t2, n, cap, depth + 1):
-                    branches.append(_Branch([step] + sub.steps, sub.tail,
-                                            sub.tower, sub.exact))
+                subs = _expand(H1, t2, n, cap, depth + 1)
+            for lam, e, Z, t3 in subs:
+                Z = (Z + TruncatedSeries.constant(xi ** u)).scale(lam ** q).shift(e * q)
+                branches.append(((xi ** v) * lam ** p, e * p, Z, t3))
     return branches
 
 
@@ -295,17 +287,15 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
     singular part; the branch separation itself is structural, so any
     n >= 1 yields correct places with shorter tails.
     """
-    c0, c1 = _unify_coords(*center)
+    c0, c1 = _unify_coords(*center, cap=cap)
     if F.eval(c0, c1) != 0:
         raise PointNotOnCurve("the point is not on the curve")
     tower = common_tower_of((c0, c1))
     G = translate(F, c0, c1)
     mult = G.min_total_degree()
-    branches = _expand(G, tower, n, cap)
     places = []
-    for br in branches:
-        lam, e, Z = _assemble(br)
-        lam, Z, tw = _normalize(lam, e, Z, br.tower, cap)
+    for lam, e, Z, tw in _expand(G, tower, n, cap):
+        lam, Z, tw = _normalize(lam, e, Z, tw, cap)
         B = Z + TruncatedSeries.constant(c1)
         places.append(Place((lift(c0, tw), lift(c1, tw)), e, lam, B, tw, mult))
     places.sort(key=_place_sort_key)
@@ -318,24 +308,12 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
     return places
 
 
-def _unify_coords(c0, c1):
+def _unify_coords(c0, c1, cap=_factor.DEFAULT_DEGREE_CAP):
     """Lift the coordinates into one tower when they come from two."""
     if isinstance(c0, AlgebraicNumber) and isinstance(c1, AlgebraicNumber):
         if common_tower(c0.tower, c1.tower) is None:
-            return _factor.lift_to_common(c0, c1)
+            return _factor.lift_to_common(c0, c1, cap)
     return c0, c1
-
-
-def _assemble(br):
-    Z = br.tail
-    lam = Fraction(1)
-    e = 1
-    for (p, q, u, v, xi) in reversed(br.steps):
-        base = Z + TruncatedSeries.constant(xi ** u)
-        Z = base.scale(lam ** q).shift(e * q)
-        lam = (xi ** v) * lam ** p
-        e = e * p
-    return lam, e, Z
 
 
 def _rescale(Z, rho):
@@ -355,8 +333,6 @@ def _normalize(lam, e, Z, tower, cap):
     one = Fraction(1)
     if lam == 1:
         return lam, Z, tower
-    if e == 1:
-        return lift(one, tower), _rescale(Z, lam.inverse()), tower
     targets = (one,) if e % 2 == 1 else (one, -one)
     for target in targets:
         pol = UniPoly([-(target * lam.inverse())] + [_F0] * (e - 1)

@@ -81,6 +81,11 @@ class TruncatedSeries:
     def is_zero_series(self):
         return self.trunc is None and not self.coeffs
 
+    def _like(self, coeffs, trunc):
+        """A result built from this operand: the subclass keeps exact
+        results of its own type (UniPoly keeps its variable)."""
+        return TruncatedSeries(coeffs, trunc)
+
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -90,18 +95,18 @@ class TruncatedSeries:
         if t is not None:
             n = t + 1
         out = [self[i] + other[i] for i in range(n)]
-        return TruncatedSeries(out, t)
+        return self._like(out, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.trunc)
+        return self._like([-c for c in self.coeffs], self.trunc)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -133,12 +138,12 @@ class TruncatedSeries:
                 if cb == 0:
                     continue
                 out[i + j] = out[i + j] + ca * cb
-        return TruncatedSeries(out, t)
+        return self._like(out, t)
 
     __rmul__ = __mul__
 
     def scale(self, s):
-        return TruncatedSeries([c * s for c in self.coeffs], self.trunc)
+        return self._like([c * s for c in self.coeffs], self.trunc)
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -148,7 +153,7 @@ class TruncatedSeries:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("nonnegative integer powers only")
-        return power(self, n, TruncatedSeries([_F1], None))
+        return power(self, n, self._like([_F1], None))
 
     def truncate(self, n):
         """Restrict certification to order n (n <= current certification)."""
@@ -179,32 +184,8 @@ class TruncatedSeries:
     # -- rendering --------------------------------------------------------
 
     def render(self, var="t"):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            cs = str(c)
-            composite = (" + " in cs) or (" - " in cs)
-            if composite:
-                neg, mag = False, "(%s)" % cs
-            elif cs.startswith("-"):
-                neg, mag = True, cs[1:]
-            else:
-                neg, mag = False, cs
-            if k == 0:
-                term = mag
-            elif k == 1:
-                term = var if mag == "1" else "%s*%s" % (mag, var)
-            else:
-                term = "%s^%d" % (var, k) if mag == "1" else "%s*%s^%d" % (mag, var, k)
-            if not parts:
-                parts.append(("-" if neg else "") + term)
-            else:
-                parts.append(("- " if neg else "+ ") + term)
-        if not parts:
-            body = "0"
-        else:
-            body = " ".join(parts)
+        body = join_terms((str(c), "" if k == 0 else var if k == 1 else "%s^%d" % (var, k))
+                          for k, c in enumerate(self.coeffs) if c != 0)
         if self.trunc is not None:
             tail = "O(%s^%d)" % (var, self.trunc + 1)
             body = tail if body == "0" else body + " + " + tail
@@ -228,6 +209,27 @@ class TruncatedSeries:
             else:
                 coeffs.append(Fraction(c))
         return cls(coeffs, obj["trunc"])
+
+
+def join_terms(terms):
+    """Join (coefficient string, monomial string) pairs, in display
+    order, into one sum: a coefficient holding a sum is bracketed, a
+    leading minus becomes the joining sign, and a coefficient 1 on a
+    monomial is left out.  No terms give "0"."""
+    parts = []
+    for cs, mono in terms:
+        if " + " in cs or " - " in cs:
+            cs = "(%s)" % cs
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        term = cs if not mono else mono if cs == "1" else "%s*%s" % (cs, mono)
+        if parts:
+            term = ("- " if neg else "+ ") + term
+        elif neg:
+            term = "-" + term
+        parts.append(term)
+    return " ".join(parts) if parts else "0"
 
 
 def _coerce(x):
@@ -254,9 +256,7 @@ def series_arith(a, b, op):
 
 def derivative(a):
     out = [k * c for k, c in enumerate(a.coeffs)][1:]
-    if a.trunc is None:
-        return TruncatedSeries(out, None)
-    return TruncatedSeries(out, max(a.trunc - 1, -1))
+    return a._like(out, None if a.trunc is None else max(a.trunc - 1, -1))
 
 
 def invert(a, trunc=None):

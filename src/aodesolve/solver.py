@@ -166,7 +166,7 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     solution, which separates distinct solutions.
     """
     validate_input(F)
-    c0, c1 = _unify_coords(*c)
+    c0, c1 = _unify_coords(*c, cap=cap)
     if F.eval(c0, c1) != 0:
         return []
     mult = multiplicity_at(F, (c0, c1))

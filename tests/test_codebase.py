@@ -1,6 +1,8 @@
 """Checks on the package source and on the names the benchmark binds."""
 
 import ast
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -63,3 +65,18 @@ def test_benchmark_bindings_resolve():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_paper_cases_match_golden():
+    """The paper's examples print, byte for byte, the JSON pinned in
+    perfbench/golden.json, so a change that alters any output fails here."""
+    from aodesolve import cli
+
+    with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
+        cases = [case for case in json.load(fh) if case.get("paper")]
+    assert cases
+    for case in cases:
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(case["argv"], out=out, err=err) == 0, err.getvalue()
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["sha256"], \
+            case["argv"]

@@ -153,7 +153,7 @@ def test_eval_series_matches_termwise_sum(ex1, ex2):
         (S([F(0), F(1)], 6), S([F(0), F(2), F(3)], 3)),
         (S([F(1), r2, F(1, 2)], 4), S([r2, F(1), 3 * r2], 4)),
     ]
-    assert ex1._z_coeff_polys()[1].is_zero()  # an empty z^1 column
+    assert ex1.columns("y")[1].is_zero()  # an empty z^1 column
     for B in (ex1, ex2):
         for ys, zs in inputs:
             want = S.exact([])
@@ -279,3 +279,18 @@ def test_point_equality_cross_towers():
     # a2 = 8^(1/4), a2^2 = 2*sqrt(2) / sqrt(2) ... check alg_eq on equal values
     assert alg_eq(a1 * a1, 2)
     assert alg_eq(a2 * a2 / 2, a1)
+
+
+def test_render_text():
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    B = BiPoly({(0, 2): F(1), (1, 1): F(-1), (3, 0): F(-3, 2), (2, 0): 1 + r2,
+                (0, 0): F(-1)})
+    assert B.render() == "-3/2*y^3 + (1 + sqrt(2))*y^2 - y*(y') + (y')^2 - 1"
+    B = BiPoly({(1, 0): F(1), (0, 1): -r2, (0, 0): 1 + r2})
+    assert B.render() == "y - sqrt(2)*(y') + (1 + sqrt(2))"
+    assert BiPoly({(2, 1): F(1, 3), (0, 0): F(-3, 2)}).render() == "1/3*y^2*(y') - 3/2"
+    assert BiPoly({}).render() == "0"
+    p = UniPoly([F(-2), F(0), F(1)], "y")
+    assert p.render() == "-2 + y^2" and repr(p) == "UniPoly(-2 + y^2)"
+    assert p.render("z") == "-2 + z^2"
+    assert UniPoly([1 + r2, F(-1)], "y").render() == "(1 + sqrt(2)) - y"

@@ -202,3 +202,13 @@ def test_order_reporting():
     assert S([0, 0, 3], 5).order() == 2
     assert S([0, 0, 0], 2).order() is None
     assert S([], None).order() is None
+
+
+def test_render_brackets_sums_and_moves_signs():
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    # certified coefficients that all vanish leave only the order term
+    assert S([0, 0, 0], 2).render() == "O(t^3)"
+    s = S([-1, 0, 1 + r2, -r2, F(-3, 2)], 4)
+    assert s.render() == "-1 + (1 + sqrt(2))*t^2 - sqrt(2)*t^3 - 3/2*t^4 + O(t^5)"
+    assert S([1 + r2, -1, 1]).render("y") == "(1 + sqrt(2)) - y + y^2"
+    assert S([]).render() == "0"

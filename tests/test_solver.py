@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from aodesolve.errors import (InsufficientPrecision, NotOrderSuitable,
-                              PointNotOnCurve, SeparantVanishes)
+from aodesolve.errors import (ExtensionLimitExceeded, InsufficientPrecision,
+                              NotOrderSuitable, PointNotOnCurve, SeparantVanishes)
 from aodesolve.factor import adjoin_root, alg_eq, all_roots
 from aodesolve.numbers import QQ, AlgebraicNumber
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
@@ -321,3 +321,15 @@ def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
     monkeypatch.setattr(solver, "solve_at", solve_at)
     with pytest.raises(TypeError):
         classify(ex1, 4, jobs=2)
+
+
+def test_degree_cap_reaches_cross_tower_lifting(ex1):
+    # sqrt(2) and sqrt(3) come from two towers; one tower holding both
+    # has degree 4
+    _, a = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)]))
+    _, b = adjoin_root(QQ, UniPoly([F(-3), F(0), F(1)]))
+    with pytest.raises(ExtensionLimitExceeded):
+        places_at(ex1, (a, b), 3, cap=2)
+    with pytest.raises(ExtensionLimitExceeded):
+        solve_at(ex1, (a, b), 3, cap=2)
+    assert solve_at(ex1, (a, b), 3, cap=4) == []  # not a point of the curve
