@@ -69,7 +69,7 @@ def test_benchmark_bindings_resolve():
 
 def test_paper_cases_match_golden():
     """The paper's examples print, byte for byte, the JSON pinned in
-    perfbench/golden.json, so a change that alters any output fails here."""
+    perfbench/golden.json, so a change to their output fails in Tier-1."""
     from aodesolve import cli
 
     with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
@@ -78,5 +78,5 @@ def test_paper_cases_match_golden():
     for case in cases:
         out, err = io.StringIO(), io.StringIO()
         assert cli.main(case["argv"], out=out, err=err) == 0, err.getvalue()
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == case["sha256"], \
-            case["argv"]
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == case["sha256"], case["argv"]
