@@ -202,8 +202,7 @@ class _ScalarParser(_PolyParser):
             if polybi.deg_z > 0:
                 raise ParseError("root() polynomial must use the variable x",
                                  position=pos)
-            coeffs = [polybi.coeff(i, 0) for i in range(polybi.deg_y + 1)]
-            pol = UniPoly(coeffs, "x")
+            pol = UniPoly([], "x") + polybi[0]  # the z^0 column, in x
             roots = _factor.all_roots(pol, self.tower, cap=self.cap)
             if idx > len(roots):
                 raise ParseError("root index out of range", position=pos2)

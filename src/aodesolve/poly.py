@@ -1,9 +1,12 @@
 """Exact uni/bivariate polynomial algebra over tower elements.
 
-BiPoly is the defining polynomial F(y, z) of the associated curve
-(z stands for y'); UniPoly backs slices, resultants and factorization.
-Scalars are Fractions or AlgebraicNumbers; mixed arithmetic goes
-through the operator overloads on AlgebraicNumber.
+UniPoly is an exact TruncatedSeries with a variable name; it backs
+slices, resultants and factorization.  BiPoly is the defining
+polynomial F(y, z) of the associated curve (z stands for y'), an exact
+TruncatedSeries in z whose coefficients are UniPoly in y (K[y][z]), so
+both share the series ring arithmetic, equality and hash.  Scalars are
+Fractions or AlgebraicNumbers; mixed arithmetic goes through the
+operator overloads on AlgebraicNumber.
 """
 
 from fractions import Fraction
@@ -11,8 +14,7 @@ from functools import lru_cache
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
-from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, power,
-                      rational)
+from .numbers import DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, rational
 from .series import TruncatedSeries, derivative as _derivative, join_terms
 
 _F0 = Fraction(0)
@@ -226,23 +228,35 @@ def resultant_lists(A, B, var):
 # bivariate polynomials
 
 
-class BiPoly:
-    """Sparse bivariate polynomial in y and z; keys are (deg_y, deg_z)."""
+class BiPoly(TruncatedSeries):
+    """F(y, z) in K[y][z]: an exact TruncatedSeries in z whose
+    coefficients (columns) are UniPoly in y.  Built from the sparse
+    terms {(deg_y, deg_z): c}; the ring arithmetic, equality and hash
+    are the series ones."""
 
-    __slots__ = ("terms", "_key")
+    __slots__ = ()
 
     def __init__(self, terms):
-        clean = {}
-        for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-            if c != 0:
-                if (i, j) in clean:
-                    c = clean[(i, j)] + c
-                    if c == 0:
-                        del clean[(i, j)]
-                        continue
-                clean[(i, j)] = c
-        self.terms = clean
-        self._key = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
+        cols = []
+        for (i, j), c in terms.items():
+            if c == 0:
+                continue
+            cols.extend([] for _ in range(j + 1 - len(cols)))
+            col = cols[j]
+            col.extend([_F0] * (i + 1 - len(col)))
+            col[i] = c
+        TruncatedSeries.__init__(self, [UniPoly(col, "y") for col in cols])
+
+    @classmethod
+    def from_columns(cls, cols):
+        """The polynomial sum cols[j] * z^j; a scalar column is a constant."""
+        F = cls.__new__(cls)
+        TruncatedSeries.__init__(F, [c if isinstance(c, UniPoly) else UniPoly([c], "y")
+                                     for c in cols])
+        return F
+
+    def _like(self, coeffs, trunc):
+        return BiPoly.from_columns(coeffs) if trunc is None else TruncatedSeries(coeffs, trunc)
 
     @classmethod
     def variable(cls, which):
@@ -250,82 +264,49 @@ class BiPoly:
             return cls({(1, 0): _F1})
         return cls({(0, 1): _F1})
 
+    @property
+    def terms(self):
+        """The sparse view {(deg_y, deg_z): c} of the nonzero coefficients."""
+        return {(i, j): c for j, col in enumerate(self.coeffs)
+                for i, c in enumerate(col.coeffs) if c != 0}
+
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def coeff(self, i, j):
-        return self.terms.get((i, j), _F0)
+        return self.coeffs[j][i] if j < len(self.coeffs) else _F0
 
     @property
     def deg_y(self):
-        return max((i for i, _ in self.terms), default=-1)
+        return max((col.degree for col in self.coeffs), default=-1)
 
     @property
     def deg_z(self):
-        return max((j for _, j in self.terms), default=-1)
+        return len(self.coeffs) - 1
 
     def total_degree(self):
-        return max((i + j for i, j in self.terms), default=-1)
+        return max((col.degree + j for j, col in enumerate(self.coeffs) if col.coeffs),
+                   default=-1)
 
     def min_total_degree(self):
-        return min((i + j for i, j in self.terms), default=-1)
+        return min((col.order() + j for j, col in enumerate(self.coeffs) if col.coeffs),
+                   default=-1)
 
     def support(self):
-        return sorted(self.terms.keys())
+        return sorted(self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self._key == other._key
+    # perfbench/tracer.py times TruncatedSeries.__mul__ as the series.mul
+    # row; binding the name here keeps BiPoly products out of it
+    __mul__ = __rmul__ = TruncatedSeries.__mul__
 
-    def __hash__(self):
-        return hash(self._key)
-
-    def __add__(self, other):
-        if not isinstance(other, BiPoly):
-            other = BiPoly({(0, 0): other})
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, _F0) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            out = {}
-            for (i1, j1), c1 in self.terms.items():
-                for (i2, j2), c2 in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, _F0) + c1 * c2
-            return BiPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, s):
-        return BiPoly({k: c * s for k, c in self.terms.items()})
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("nonnegative integer powers only")
-        return power(self, n, BiPoly({(0, 0): _F1}))
-
-    def diff_z(self):
-        return BiPoly({(i, j - 1): j * c for (i, j), c in self.terms.items() if j})
+    diff_z = _derivative  # the series rule in z; _like keeps the BiPoly
 
     def eval(self, y, z):
-        """F(y, z) by Horner's rule in z over the y-columns; y and z may
-        be scalars, TruncatedSeries or BiPoly.  The zero polynomial
+        """F(y, z) by Horner's rule in z over the columns; y and z may be
+        scalars, TruncatedSeries or BiPoly.  The zero polynomial
         evaluates to 0."""
         acc = _F0
-        for cy in reversed(self.columns("y")):
+        for cy in reversed(self.coeffs):
             acc = acc * z + cy.eval(y)
         return acc
 
@@ -334,18 +315,18 @@ class BiPoly:
     eval_series = eval
 
     def columns(self, var):
-        """var="y": the coefficients of z^0, z^1, ... as UniPoly in y;
-        var="z": those of y^0, y^1, ... as UniPoly in z."""
-        if var not in ("y", "z"):
+        """var="y": the coefficients of z^0, z^1, ... as UniPoly in y
+        (the series coefficients); var="z": those of y^0, y^1, ... as
+        UniPoly in z."""
+        if var == "y":
+            return list(self.coeffs)
+        if var != "z":
             raise ValueError("axis must be 'y' or 'z'")
-        flip = var == "z"
-        cols = [[] for _ in range((self.deg_y if flip else self.deg_z) + 1)]
-        for key, c in self.terms.items():
-            i, j = key[::-1] if flip else key  # degree in var, column
-            col = cols[j]
-            col.extend([_F0] * (i + 1 - len(col)))
-            col[i] = c
-        return [UniPoly(col, var) for col in cols]
+        rows = [[_F0] * len(self.coeffs) for _ in range(self.deg_y + 1)]
+        for j, col in enumerate(self.coeffs):
+            for i, c in enumerate(col.coeffs):
+                rows[i][j] = c
+        return [UniPoly(row, "z") for row in rows]
 
     def rational_coeffs(self):
         return all(not isinstance(c, AlgebraicNumber) or c.is_rational()
@@ -357,8 +338,9 @@ class BiPoly:
             zs = "" if not j else "(y')" if j == 1 else "(y')^%d" % j
             return "*".join(m for m in (ys, zs) if m)
 
-        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
-        return join_terms((str(self.terms[k]), mono(*k)) for k in keys)
+        terms = self.terms
+        keys = sorted(terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+        return join_terms((str(terms[k]), mono(*k)) for k in keys)
 
     def __repr__(self):
         return "BiPoly(%s)" % self.render()
@@ -398,7 +380,7 @@ def multiplicity_at(F, point):
 
 def resultant_z(F, G):
     """Resultant eliminating z; a UniPoly in y."""
-    return resultant_lists(F.columns("y"), G.columns("y"), "y")
+    return resultant_lists(F.coeffs, G.coeffs, "y")
 
 
 def resultant_y(F, G):
@@ -408,7 +390,7 @@ def resultant_y(F, G):
 def _content_z(F):
     """gcd over K[y] of the z-coefficients."""
     g = UniPoly([], "y")
-    for cy in F.columns("y"):
+    for cy in F.coeffs:
         if cy.is_zero():
             continue
         g = cy.monic() if g.is_zero() else uni_gcd(g, cy)
@@ -417,23 +399,26 @@ def _content_z(F):
     return g
 
 
-def have_common_component(F, G):
+def _shared_factor(F, G):
+    """(whether F and G share a nonconstant factor, Res_z(F, G) when the
+    test needed it, else None)."""
     if F.is_zero() or G.is_zero():
         other = G if F.is_zero() else F
-        return other.total_degree() > 0 or other.is_zero()
+        return other.total_degree() > 0 or other.is_zero(), None
     if F.total_degree() == 0 or G.total_degree() == 0:
-        return False
+        return False, None
     if F.deg_z == 0 and G.deg_z == 0:
-        return not uni_gcd(F.columns("y")[0], G.columns("y")[0]).is_constant()
+        return not uni_gcd(F.coeffs[0], G.coeffs[0]).is_constant(), None
     if F.deg_z == 0:
-        return not uni_gcd(F.columns("y")[0], _content_z(G)).is_constant()
+        return not uni_gcd(F.coeffs[0], _content_z(G)).is_constant(), None
     if G.deg_z == 0:
-        return not uni_gcd(G.columns("y")[0], _content_z(F)).is_constant()
+        return not uni_gcd(G.coeffs[0], _content_z(F)).is_constant(), None
     cf, cg = _content_z(F), _content_z(G)
     if not cf.is_constant() and not cg.is_constant():
         if not uni_gcd(cf, cg).is_constant():
-            return True
-    return resultant_z(F, G).is_zero()
+            return True, None
+    ry = resultant_z(F, G)
+    return ry.is_zero(), ry
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +466,8 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     """
     from . import factor
 
-    if have_common_component(F, G):
+    shared, ry = _shared_factor(F, G)
+    if shared:
         raise CommonComponent("system has a common nonconstant factor")
     if G.is_zero():
         raise CommonComponent("zero polynomial shares every component")
@@ -490,13 +476,9 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     if F.deg_y <= 0 and F.deg_z <= 0:
         return []
 
-    ry = resultant_z(F, G) if F.deg_z > 0 and G.deg_z > 0 else None
-    if ry is None or ry.is_zero():
-        # one input free of z: y-coordinates come from gcd-style data
-        fy = F.columns("y")[0] if F.deg_z == 0 else None
-        gy = G.columns("y")[0] if G.deg_z == 0 else None
-        base = fy if fy is not None else gy
-        ry = base
+    if ry is None:
+        # one input free of z: its z^0 column gives the y-coordinates
+        ry = F.coeffs[0] if F.deg_z == 0 else G.coeffs[0]
     points = []
     for y0, _m in factor.all_roots(ry, QQ, cap):
         t = y0.tower

@@ -126,9 +126,10 @@ def _transform(F, edge, u, v, xi):
             xipows[n] = r
         return r
 
-    L = min(p * i + q * j for (i, j) in F.terms)
+    old = F.terms
+    L = min(p * i + q * j for (i, j) in old)
     terms = {}
-    for (i, j), c in F.terms.items():
+    for (i, j), c in old.items():
         base = p * i + q * j - L
         for k in range(j + 1):
             coeff = c * comb(j, k) * xipow(v * i + u * (j - k))
@@ -158,11 +159,6 @@ def _regular_tail(H, n):
     return TruncatedSeries(coeffs[:n + 1], n)
 
 
-def _divide_out_z(H):
-    """H / z, exact (every term has z-degree >= 1)."""
-    return BiPoly({(i, j - 1): c for (i, j), c in H.terms.items()})
-
-
 def _expand(H, tower, n, cap, depth=0):
     """The branches of H through the origin, one (lam, e, Z, tower) per
     leaf of the polygon recursion: y = lam * t^e, z = Z(t).  Each
@@ -171,14 +167,14 @@ def _expand(H, tower, n, cap, depth=0):
     if depth > 64:
         raise ArithmeticError("Newton-Puiseux recursion failed to terminate")
     branches = []
-    if not any(j == 0 for (_, j) in H.terms):
+    if H[0] == 0:
         # z | H: the branch terminates exactly with z = 0; the quotient
-        # cannot be divisible by z again (H is squarefree in z)
+        # H / z cannot be divisible by z again (H is squarefree in z)
         branches.append((Fraction(1), 1, TruncatedSeries.exact([]), tower))
-        H = _divide_out_z(H)
-        if not any(j == 0 for (_, j) in H.terms):
+        H = BiPoly.from_columns(H.coeffs[1:])
+        if H[0] == 0:
             raise ArithmeticError("transformed polynomial divisible by z twice")
-    if not H.terms or H.coeff(0, 0) != 0:
+    if H.is_zero() or H.coeff(0, 0) != 0:
         return branches
     for edge in newton_polygon(H):
         p, q = edge.p, edge.q
@@ -186,7 +182,7 @@ def _expand(H, tower, n, cap, depth=0):
         u, v = _bezout(p, q)
         for xi, mult in _factor.roots_by_factor(phi, tower, cap):
             t2 = xi.tower
-            H1 = _transform(_lift_poly(H, t2), edge, u, v, xi)
+            H1 = _transform(H, edge, u, v, xi)  # xi puts every coefficient in t2
             if mult == 1:
                 subs = [(Fraction(1), 1, _regular_tail(H1, n), t2)]
             else:
@@ -195,11 +191,6 @@ def _expand(H, tower, n, cap, depth=0):
                 Z = (Z + TruncatedSeries.constant(xi ** u)).scale(lam ** q).shift(e * q)
                 branches.append(((xi ** v) * lam ** p, e * p, Z, t3))
     return branches
-
-
-def _lift_poly(F, tower):
-    return BiPoly({k: lift(c, tower) if isinstance(c, AlgebraicNumber) else c
-                   for k, c in F.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,15 @@ class TruncatedSeries:
         return all(self[i] == other[i] for i in range(n))
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
+        if isinstance(other, TruncatedSeries):
+            return self.trunc == other.trunc and self.coeffs == other.coeffs
+        # a scalar is the exact constant series, so the exact zero (an empty
+        # BiPoly column) equals 0 for the trim in __init__ and the skip in __mul__
+        return self.trunc is None and len(self.coeffs) <= 1 and self.constant_term() == other
 
     def __hash__(self):
+        if self.trunc is None and len(self.coeffs) <= 1:
+            return hash(self.constant_term())  # equal to that scalar
         return hash((self.coeffs, self.trunc))
 
     # -- rendering --------------------------------------------------------

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
-from .numbers import QQ, common_tower, common_tower_of, inv, scalar_json
-from .poly import (BiPoly, Point, multiplicity_at, separant, solve_system,
-                   univariate_slice, validate_input)
+from .numbers import QQ, common_tower, common_tower_of, inv, lift, scalar_json
+from .poly import (Point, multiplicity_at, separant, solve_system, univariate_slice,
+                   validate_input)
 from .puiseux import _unify_coords, places_at
 from .series import TruncatedSeries, compose, derivative
 from . import factor as _factor
@@ -213,19 +213,14 @@ def constant_solutions(F, cap=_factor.DEFAULT_DEGREE_CAP):
 def critical_set(F, cap=_factor.DEFAULT_DEGREE_CAP):
     """V(F, z) u V(F, S_F), tagged by membership."""
     validate_input(F)
-    zpoly = BiPoly.variable("z")
-    on_axis = solve_system(F, zpoly, cap)
-    sep = solve_system(F, separant(F), cap)
+    S = separant(F)
     points = []
-    for p in on_axis:
-        points.append((p, {"on_z_axis"}))
-    for p in sep:
-        for q, tags in points:
-            if q == p:
-                tags.add("separant_zero")
-                break
-        else:
-            points.append((p, {"separant_zero"}))
+    # V(F, z): Res_z(F, z) = +-F(y, 0), so its points are the constants
+    for y0 in constant_solutions(F, cap):
+        p = Point(y0, lift(_F0, y0.tower))
+        tags = {"on_z_axis", "separant_zero"} if S.eval(p.y, p.z) == 0 else {"on_z_axis"}
+        points.append((p, tags))
+    points += [(p, {"separant_zero"}) for p in solve_system(F, S, cap) if p.z != 0]
     points.sort(key=lambda pt: pt[0].sort_key())
     return CriticalSet(points)
 
@@ -252,7 +247,8 @@ def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
             a1_extra.append(p)
         else:
             buckets.setdefault(count, []).append(p)
-    return Classification(buckets, points, a1_extra, constant_solutions(F, cap))
+    constants = [p.y for p, tags in crit if "on_z_axis" in tags]
+    return Classification(buckets, points, a1_extra, constants)
 
 
 def _count_at(arg):

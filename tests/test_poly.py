@@ -164,6 +164,64 @@ def test_eval_series_matches_termwise_sum(ex1, ex2):
             assert got == want
 
 
+def test_bipoly_ring_arithmetic_against_sympy():
+    """BiPoly arithmetic is the series arithmetic in z over UniPoly
+    columns: seeded random polynomials agree with sympy.Poly."""
+    import sympy
+
+    rng = random.Random(11)
+    y, z = sympy.symbols("y z")
+
+    def rnd():
+        return BiPoly({(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(rng.randint(0, 5))})
+
+    def sp(B):
+        assert isinstance(B, BiPoly)
+        return sympy.Poly(_sympy_bipoly(B)[0], y, z, domain="QQ")
+
+    def q(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    for _ in range(20):
+        A, B = rnd(), rnd()
+        c, c0, c1 = (F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        shifted = sp(A).as_expr().subs({y: y + q(c0), z: z + q(c1)}, simultaneous=True)
+        pairs = [
+            (A + B, sp(A) + sp(B)), (A - B, sp(A) - sp(B)), (A * B, sp(A) * sp(B)),
+            (A ** 3, sp(A) ** 3), (A.diff_z(), sp(A).diff(z)),
+            (A + c, sp(A) + q(c)), (c + A, sp(A) + q(c)),
+            (A - c, sp(A) - q(c)), (c - A, q(c) - sp(A)),
+            (A * c, sp(A) * q(c)), (c * A, sp(A) * q(c)),
+        ]
+        if not A.is_zero():  # translate evaluates, and the zero F evaluates to 0
+            pairs.append((translate(A, c0, c1), sympy.Poly(shifted, y, z, domain="QQ")))
+        for got, want in pairs:
+            assert sp(got) == want
+        # columns("z"): the coefficient of y^i as a polynomial in z
+        rows = A.columns("z")
+        assert len(rows) == A.deg_y + 1
+        for i, row in enumerate(rows):
+            assert row.var == "z"
+            want = sp(A).as_expr().coeff(y, i)
+            assert sympy.Poly(row.render("z"), z, domain="QQ") == sympy.Poly(want, z, domain="QQ")
+        # cancellation gives the zero polynomial
+        for zero in (A - A, A + (-A), (A + c) - A - c, A * 0, 0 * B, A * (B - B)):
+            assert zero.is_zero() and zero.coeffs == ()
+            assert zero.deg_y == zero.deg_z == -1 and zero == BiPoly({})
+
+    # equal polynomials from other term orders or from arithmetic compare
+    # equal and hash alike
+    P = BiPoly({(2, 0): F(1), (1, 0): F(2), (0, 0): F(1), (0, 3): F(-1)})
+    Q = BiPoly({(0, 3): F(-1), (0, 0): F(1), (1, 0): F(2), (2, 0): F(1), (5, 1): F(0)})
+    R = (BiPoly.variable("y") + 1) ** 2 - BiPoly.variable("z") ** 3
+    assert P == Q == R and hash(P) == hash(Q) == hash(R) and len({P, Q, R}) == 1
+    # an empty column is zero, and a constant equals and hashes as its scalar
+    assert UniPoly([], "y") == 0 and hash(UniPoly([], "y")) == hash(0)
+    assert BiPoly({(0, 0): F(5)}) == 5 and hash(BiPoly({(0, 0): F(5)})) == hash(F(5))
+    assert BiPoly({(1, 1): F(1)}).coeffs[0] == 0
+
+
 def test_multiplicity_examples(ex1, ex2):
     assert multiplicity_at(ex1, (F(0), F(0))) == 2
     assert multiplicity_at(ex1, (F(-1), F(0))) == 1
@@ -211,6 +269,22 @@ def test_solve_system_example2_eleven_points(ex2):
     for p in rest:
         assert (27 * p.z * p.z - 54 * p.z + 19).is_zero()
         assert (81 * p.y * p.y - 48).is_zero()
+
+
+def test_solve_system_computes_the_resultant_once(ex2, monkeypatch):
+    """The common-component test and the y-coordinates share one Res_z."""
+    from aodesolve import poly
+
+    calls = []
+    real = poly.resultant_lists
+
+    def counted(A, B, var):
+        calls.append(var)
+        return real(A, B, var)
+
+    monkeypatch.setattr(poly, "resultant_lists", counted)
+    assert len(solve_system(ex2, separant(ex2))) > 0
+    assert calls == ["y"]
 
 
 def test_solve_system_bezout_bound_random():
