@@ -29,8 +29,7 @@ def _build_parser():
     for name, text, opts in (
             ("solve", "solutions at an initial tuple", ("at", "order", "cap")),
             ("direct", "separant recursion at a tuple", ("at", "order", "cap")),
-            ("classify", "partition initial tuples by solution count",
-             ("order", "cap", "jobs")),
+            ("classify", "partition initial tuples by solution count", ("cap", "jobs")),
             ("places", "places at every critical point", ("order", "cap")),
             ("critical", "the critical set", ("cap",)),
             ("constants", "constant solutions", ("cap",)),
@@ -105,13 +104,8 @@ def _run(args, out):
                 out.write("%s  [%s]\n" % (_render_point(p), ", ".join(sorted(tags))))
         return 0
 
-    order = args.order
-    if order is not None and order < 1:
-        raise ValueError("--order must be >= 1")
-
     if args.command == "classify":
-        n = order if order is not None else 2 * (F.deg_y + F.deg_z)
-        cl = classify(F, n, cap=cap, jobs=args.jobs)
+        cl = classify(F, cap=cap, jobs=args.jobs)
         if args.format == "json":
             _write_json(cl.to_json(), out)
         else:
@@ -127,6 +121,10 @@ def _run(args, out):
             out.write("constants = {%s}\n"
                       % ", ".join(_coord_str(c) for c in cl.constants))
         return 0
+
+    order = args.order
+    if order is not None and order < 1:
+        raise ValueError("--order must be >= 1")
 
     if args.command == "places":
         n = order if order is not None else default_bound(F)

@@ -442,9 +442,7 @@ class AlgebraicNumber:
             return None
         t = common_tower(self.tower, o.tower)
         if t is None:
-            from . import factor
-            a, b = factor.lift_to_common(self, o)
-            return a, b, a.tower
+            raise ArithmeticError("values live in incompatible towers")
         return self, o, t
 
     # -- arithmetic ---------------------------------------------------
@@ -700,7 +698,11 @@ def field_arith(x, y, op):
     """Binary field operation; lifts operands to a common tower."""
     fns = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
            "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
-    return fns[op](as_alg(x), as_alg(y))
+    a, b = as_alg(x), as_alg(y)
+    if common_tower(a.tower, b.tower) is None:
+        from . import factor
+        a, b = factor.lift_to_common(a, b)
+    return fns[op](a, b)
 
 
 def numeric_enclosure(x, precision):

@@ -93,8 +93,8 @@ class UniPoly(TruncatedSeries):
 
     def eval(self, x):
         """p(x) by Horner's rule; x may be a scalar, a UniPoly, a BiPoly
-        or a TruncatedSeries.  The zero polynomial evaluates to 0."""
-        acc = _F0
+        or a TruncatedSeries.  The zero polynomial evaluates to 0 * x."""
+        acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -304,8 +304,8 @@ class BiPoly(TruncatedSeries):
     def eval(self, y, z):
         """F(y, z) by Horner's rule in z over the columns; y and z may be
         scalars, TruncatedSeries or BiPoly.  The zero polynomial
-        evaluates to 0."""
-        acc = _F0
+        evaluates to 0 * z."""
+        acc = 0 * z
         for cy in reversed(self.coeffs):
             acc = acc * z + cy.eval(y)
         return acc
@@ -365,7 +365,7 @@ def translate(F, c0, c1):
 def univariate_slice(F, axis, v):
     """Fix one variable: axis="y" fixes z=v giving a poly in y,
     axis="z" fixes y=v giving a poly in z."""
-    # the sum relabels the result to the axis, and is 0 for the zero F
+    # the sum relabels the result to the axis, also the 0 * v of the zero F
     return UniPoly([], axis) + UniPoly(F.columns(axis)).eval(v)
 
 

@@ -339,12 +339,9 @@ def _normalize(lam, e, Z, tower, cap):
         if e % 2 == 1 and lamq < 0:
             rho = -rho
         target = one if (e % 2 == 1 or lamq > 0) else -one
-        return (lift(target, t2), _rescale(_lift_series(Z, t2), rho), t2)
+        # Z(0) = 0, and a factor rho^k puts every other coefficient in t2
+        return lift(target, t2), _rescale(Z, rho), t2
     return lam, Z, tower
-
-
-def _lift_series(Z, tower):
-    return Z.map_coeffs(lambda c: lift(c, tower) if isinstance(c, AlgebraicNumber) else c)
 
 
 def _adjoin_positive_real_root(tower, radicand, e, cap):

@@ -163,9 +163,6 @@ class TruncatedSeries:
 
     # -- structure ------------------------------------------------------
 
-    def map_coeffs(self, fn):
-        return TruncatedSeries([fn(c) for c in self.coeffs], self.trunc)
-
     def agrees_with(self, other):
         """Equality up to the joint certified precision."""
         other = _coerce(other)

@@ -6,9 +6,10 @@ order one solving
 
     S' = (a_k + a_{k+1} S + ...)^(-1) (b_k + b_{k+1} S + ...),
 
-and A(S) is the solution.  Away from the critical set V(F, z) u
-V(F, S_F) the separant recursion provides an independent route to the
-same series.
+and A(S) is the solution, so ``classify`` counts the solutions at a
+point as its order-suitable places, without solving.  Away from the
+critical set V(F, z) u V(F, S_F) the separant recursion provides an
+independent route to the same series.
 """
 
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .series import TruncatedSeries, compose, derivative
 from . import factor as _factor
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class InitialTuple(Point):
@@ -169,10 +169,7 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     c0, c1 = _unify_coords(*c, cap=cap)
     if F.eval(c0, c1) != 0:
         return []
-    mult = multiplicity_at(F, (c0, c1))
-    # cheap probe: branch structure and leading orders decide suitability
-    probe_n = mult + F.deg_z + 2
-    probe = places_at(F, (c0, c1), probe_n, cap=cap)
+    mult, probe_n, probe = _probe(F, (c0, c1), cap)
     if not any(is_order_suitable(p) for p in probe):
         return []
     need = max(n, mult + max(p.e for p in probe)) + F.deg_z + 2
@@ -196,6 +193,14 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
             if out[i].series.agrees_with(out[j].series):
                 raise ArithmeticError("solve_at produced coinciding truncations")
     return out
+
+
+def _probe(F, c, cap):
+    """Multiplicity m at the curve point c, probe order m + deg_z + 2 and
+    the places at c to it, which fix the branches and their suitability."""
+    mult = multiplicity_at(F, c)
+    n = mult + F.deg_z + 2
+    return mult, n, places_at(F, c, n, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +230,10 @@ def critical_set(F, cap=_factor.DEFAULT_DEGREE_CAP):
     return CriticalSet(points)
 
 
-def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
+def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
     """Algorithm 2: bucket every critical point by its number of
-    non-constant solutions; all other curve points carry exactly one.
+    non-constant solutions, the number of order-suitable places
+    centered there; all other curve points carry exactly one.
 
     With jobs > 1 the critical points are processed in worker
     processes; the merge order is fixed by the point order either way.
@@ -235,11 +241,10 @@ def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
     validate_input(F)
     crit = critical_set(F, cap)
     points = crit.plain_points()
-    counts = None
-    if jobs > 1 and len(points) > 1:
-        counts = _parallel_counts(F, points, n, cap, jobs)
+    args = [(F, p, cap) for p in points]
+    counts = _parallel_counts(args, jobs) if jobs > 1 and len(points) > 1 else None
     if counts is None:
-        counts = [len(solve_at(F, p, n, cap=cap)) for p in points]
+        counts = list(map(_count_at, args))
     buckets = {}
     a1_extra = []
     for p, count in zip(points, counts):
@@ -252,16 +257,17 @@ def classify(F, n, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
 
 
 def _count_at(arg):
-    F, p, n, cap = arg
-    return len(solve_at(F, p, n, cap=cap))
+    """The number of order-suitable places centered at a critical point."""
+    F, p, cap = arg
+    return sum(map(is_order_suitable, _probe(F, p, cap)[2]))
 
 
-def _parallel_counts(F, points, n, cap, jobs):
+def _parallel_counts(args, jobs):
     import concurrent.futures
 
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_count_at, [(F, p, n, cap) for p in points]))
+            return list(pool.map(_count_at, args))
     except (OSError, ImportError):  # the pool could not start: run serially
         return None
 

@@ -70,7 +70,7 @@ def test_criterion_1_example1_end_to_end():
         assert s[0] == 1 and s[2] == F(5, 4)
         assert alg_eq(s[1], r2) and alg_eq(s[3], 2 * r2 / 3)
 
-        cl = classify(ex1, 4)
+        cl = classify(ex1)
         assert set(cl.buckets) == {0}
         assert [(p.y.as_fraction(), p.z.as_fraction()) for p in cl.buckets[0]] \
             == [(F(0), F(0))]
@@ -148,7 +148,7 @@ def test_example2_solutions_derived_values():
 def test_criterion_2_classification_and_constants():
     with _report("criterion 2c (Example 2 classification)"):
         ex2 = make_ex2()
-        cl = classify(ex2, 5)
+        cl = classify(ex2)
         assert set(cl.buckets) == {0, 2}
         a0 = cl.buckets[0]
         assert len(a0) == 10

@@ -156,6 +156,12 @@ def test_cli_rejects_an_option_the_subcommand_does_not_read():
     assert exc.value.code == 2
 
 
+def test_cli_classify_has_no_order_option():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("classify", "--order", "3", "--ode", "(y')^2 - y^3 - y^2")
+    assert exc.value.code == 2
+
+
 def test_cli_json_solve_round_trip():
     code, out, _ = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2",
                            "--at", "-1, 0", "--order", "4", "--format", "json")

@@ -38,6 +38,64 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# the package's modules from the lowest layer to the highest
+LAYERS = ("errors", "enclosure", "numbers", "series", "poly", "factor", "puiseux",
+          "solver", "parsing", "cli")
+
+# the function-level imports that reach up a layer, each on purpose
+UPWARD_IMPORTS = {
+    ("series.compose", "poly"),
+    ("poly.Point.__eq__", "factor"),
+    ("poly.solve_system", "factor"),
+    ("poly._validate_cached", "factor"),
+    ("numbers.field_arith", "factor"),
+}
+
+
+def _imported_modules(node):
+    """The package modules an import statement names."""
+    if not isinstance(node, ast.ImportFrom):
+        names = [alias.name for alias in node.names]
+        return [n.split(".")[1] for n in names if n.startswith("aodesolve.")]
+    if node.level == 0:
+        mod = node.module or ""
+        return [mod.split(".")[1]] if mod.startswith("aodesolve.") else []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def _upward_imports(module, tree):
+    """(qualified name of the importing scope, imported module) for every
+    import, at any depth, of a module above ``module``."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for target in _imported_modules(child):
+                    if LAYERS.index(target) > LAYERS.index(module):
+                        found.add((".".join(scope), target))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            walk(child, inner)
+
+    walk(tree, [module])
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    """A module imports only the layers below it, apart from the listed
+    function-level imports, so a new import cycle fails here."""
+    found = set()
+    for module in LAYERS:
+        path = os.path.join(PACKAGE, module + ".py")
+        with open(path) as fh:
+            found |= _upward_imports(module, ast.parse(fh.read(), path))
+    assert found == UPWARD_IMPORTS
+
+
 # Runs in a child because tracer.install() patches the package in place.
 _BINDINGS_PROBE = r"""
 import importlib, json

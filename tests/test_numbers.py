@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
-from aodesolve.factor import adjoin_root, alg_eq, all_roots, pick_root, roots_in_tower
+from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
+                              roots_in_tower)
 from aodesolve.numbers import (QQ, AlgebraicNumber, field_arith,
                                numeric_enclosure)
 from aodesolve.poly import UniPoly
@@ -160,7 +161,18 @@ def test_enclosure_refinement_monotone(sqrt2_tower):
 def test_cross_tower_lift():
     _, r2 = adjoin_root(QQ, _upoly(-2, 0, 1), name="sqrt(2)")
     _, r3 = adjoin_root(QQ, _upoly(-3, 0, 1), name="sqrt(3)")
-    s = r2 + r3  # incompatible towers: lifted automatically
+    a, b = lift_to_common(r2, r3)  # incompatible towers: lifted explicitly
+    s = a + b
+    assert ((s * s - 5) ** 2) == 24
+
+
+def test_operators_do_not_lift_across_towers():
+    _, r2 = adjoin_root(QQ, _upoly(-2, 0, 1), name="sqrt(2)")
+    _, r3 = adjoin_root(QQ, _upoly(-3, 0, 1), name="sqrt(3)")
+    with pytest.raises(ArithmeticError, match="incompatible towers"):
+        r2 + r3
+    # field_arith lifts, as its docstring promises
+    s = field_arith(r2, r3, "add")
     assert ((s * s - 5) ** 2) == 24
 
 
@@ -168,7 +180,8 @@ def test_cross_tower_lift_root_already_in_tower():
     # sqrt(2) = a^2 / 2 lies in Q(a), a = 8^(1/4): the lift adds no level
     _, a = adjoin_root(QQ, _upoly(-8, 0, 0, 0, 1))
     _, r2 = adjoin_root(QQ, _upoly(-2, 0, 1))
-    s = a + r2
+    a2, r2 = lift_to_common(a, r2)
+    s = a2 + r2
     assert s.tower == a.tower and s.tower.height == 1
     assert 2 * (s - a) == a * a
 

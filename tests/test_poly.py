@@ -193,9 +193,8 @@ def test_bipoly_ring_arithmetic_against_sympy():
             (A + c, sp(A) + q(c)), (c + A, sp(A) + q(c)),
             (A - c, sp(A) - q(c)), (c - A, q(c) - sp(A)),
             (A * c, sp(A) * q(c)), (c * A, sp(A) * q(c)),
+            (translate(A, c0, c1), sympy.Poly(shifted, y, z, domain="QQ")),
         ]
-        if not A.is_zero():  # translate evaluates, and the zero F evaluates to 0
-            pairs.append((translate(A, c0, c1), sympy.Poly(shifted, y, z, domain="QQ")))
         for got, want in pairs:
             assert sp(got) == want
         # columns("z"): the coefficient of y^i as a polynomial in z
@@ -220,6 +219,9 @@ def test_bipoly_ring_arithmetic_against_sympy():
     assert UniPoly([], "y") == 0 and hash(UniPoly([], "y")) == hash(0)
     assert BiPoly({(0, 0): F(5)}) == 5 and hash(BiPoly({(0, 0): F(5)})) == hash(F(5))
     assert BiPoly({(1, 1): F(1)}).coeffs[0] == 0
+    # the zero polynomial translates to the zero BiPoly, not to a scalar
+    shifted = translate(BiPoly({}), 1, 2)
+    assert isinstance(shifted, BiPoly) and shifted == BiPoly({})
 
 
 def test_multiplicity_examples(ex1, ex2):

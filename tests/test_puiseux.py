@@ -1,13 +1,18 @@
+import hashlib
+import io
 from fractions import Fraction as F
 
 import pytest
 
+from aodesolve.cli import main
 from aodesolve.errors import DegenerateInput, PointNotOnCurve
 from aodesolve.factor import adjoin_root, alg_eq
-from aodesolve.numbers import QQ
+from aodesolve.numbers import QQ, AlgebraicNumber, common_tower_of
+from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, multiplicity_at, translate
 from aodesolve.puiseux import (default_bound, newton_polygon, places_at,
                                ramification_kind, tangent_vector)
+from aodesolve.solver import critical_set
 from conftest import make_ex1, make_ex2, make_ex3
 
 
@@ -290,3 +295,26 @@ def test_place_at_irrational_ramified_center(ex2):
     # rescaling t -> rho t with lam rho^2 = -1 gives b1' with b1'^4 = 1/3
     b1sq_scaled = -(p.B[1] * p.B[1]) / lam   # (b1 * rho)^2
     assert (b1sq_scaled * b1sq_scaled - F(1, 9) * 3).is_zero()
+
+
+def test_rescaling_into_a_new_tower_keeps_coefficients_in_it():
+    # every place of ((y')^2 - 2)^2 - 3y absorbs its rational leading
+    # coefficient by adjoining a root in a new tower; at the centers
+    # (0, +-sqrt(2)), Z(rho t) carries sqrt(2) there without a separate lift
+    ode = "((y')^2 - 2)^2 - 3*y"
+    Fo = parse_polynomial(ode)
+    extended = 0
+    for center, _tags in critical_set(Fo):
+        for pl in places_at(Fo, center, 5):
+            if pl.tower.height > common_tower_of(center).height:
+                extended += 1
+            for k, c in enumerate(pl.B.coeffs):
+                if isinstance(c, AlgebraicNumber) and not c.is_rational():
+                    assert c.tower.is_prefix_of(pl.tower)
+                    assert k == 0 or c.tower == pl.tower
+    assert extended == 3
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["places", "--ode", ode, "--order", "5", "--format", "json"],
+                out=out, err=err) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "84eeef714842700239e72a43e99e1f598fe7ceafe662228d21153f67a2eab336"

@@ -215,7 +215,7 @@ def test_remark_axis_points_no_solutions(ex2):
 
 
 def test_classify_example1(ex1):
-    cl = classify(ex1, 4)
+    cl = classify(ex1)
     assert set(cl.buckets) == {0}
     assert [(p.y.as_fraction(), p.z.as_fraction()) for p in cl.buckets[0]] \
         == [(F(0), F(0))]
@@ -226,7 +226,7 @@ def test_classify_example1(ex1):
 
 
 def test_classify_example2(ex2):
-    cl = classify(ex2, 5)
+    cl = classify(ex2)
     assert set(cl.buckets) == {0, 2}
     assert len(cl.buckets[0]) == 10
     a2 = cl.buckets[2]
@@ -235,9 +235,28 @@ def test_classify_example2(ex2):
     assert len(cl.constants) == 6
 
 
+def test_classify_counts_places_without_solving(ex2, monkeypatch):
+    # the count at a critical point is its number of order-suitable
+    # places: classify never reparametrizes or solves
+    def unused(*args, **kwargs):
+        raise AssertionError("classify must not solve")
+
+    monkeypatch.setattr(solver, "solve_at", unused)
+    monkeypatch.setattr(solver, "reparametrize", unused)
+    cl = classify(ex2)
+    assert {k: len(v) for k, v in cl.buckets.items()} == {0: 10, 2: 1}
+    assert cl.buckets[2][0].y == 0 and cl.buckets[2][0].z == 1
+    assert cl.a1_extra == [] and len(cl.complement_of) == 11
+
+
+def test_classify_takes_no_truncation_order(ex1):
+    with pytest.raises(TypeError):
+        classify(ex1, 4)
+
+
 def test_classify_line():
     line = BiPoly({(0, 1): F(1), (1, 0): F(-1)})
-    cl = classify(line, 4)
+    cl = classify(line)
     assert set(cl.buckets) == {0}
     assert [(p.y.as_fraction(), p.z.as_fraction()) for p in cl.buckets[0]] \
         == [(F(0), F(0))]
@@ -300,27 +319,27 @@ def test_main_theorem_iff(ex1, ex2):
 
 
 def test_parallel_classify_matches(ex1):
-    seq = classify(ex1, 4)
-    par = classify(ex1, 4, jobs=2)
+    seq = classify(ex1)
+    par = classify(ex1, jobs=2)
     assert set(seq.buckets) == set(par.buckets)
     for k in seq.buckets:
         assert len(seq.buckets[k]) == len(par.buckets[k])
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched solve_at")
+                    reason="workers must inherit the patched probe")
 def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
     # a fault inside a worker is not a reason to fall back to serial
-    parent, real = os.getpid(), solver.solve_at
+    parent, real = os.getpid(), solver._probe
 
-    def solve_at(*args, **kwargs):
+    def probe(*args, **kwargs):
         if os.getpid() != parent:
             raise TypeError("fault inside a worker")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_at", solve_at)
+    monkeypatch.setattr(solver, "_probe", probe)
     with pytest.raises(TypeError):
-        classify(ex1, 4, jobs=2)
+        classify(ex1, jobs=2)
 
 
 def test_degree_cap_reaches_cross_tower_lifting(ex1):
