@@ -199,10 +199,7 @@ class _ScalarParser(_PolyParser):
                 raise ParseError("root index must be a positive integer",
                                  position=pos2)
             self.t.expect_op(")")
-            if polybi.deg_z > 0:
-                raise ParseError("root() polynomial must use the variable x",
-                                 position=pos)
-            pol = UniPoly([], "x") + polybi[0]  # the z^0 column, in x
+            pol = UniPoly([], "x") + polybi[0]  # only x parses: polybi is one z^0 column
             roots = _factor.all_roots(pol, self.tower, cap=self.cap)
             if idx > len(roots):
                 raise ParseError("root index out of range", position=pos2)

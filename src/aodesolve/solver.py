@@ -6,10 +6,11 @@ order one solving
 
     S' = (a_k + a_{k+1} S + ...)^(-1) (b_k + b_{k+1} S + ...),
 
-and A(S) is the solution, so ``classify`` counts the solutions at a
-point as its order-suitable places, without solving.  Away from the
-critical set V(F, z) u V(F, S_F) the separant recursion provides an
-independent route to the same series.
+and A(S) is the solution.  The Newton polygons alone fix the places at
+a point, their e and ord(B), so ``classify`` counts the solutions there
+as the order-suitable places of the structural pass at order 1, without
+solving.  Away from the critical set V(F, z) u V(F, S_F) the separant
+recursion provides an independent route to the same series.
 """
 
 from fractions import Fraction
@@ -17,8 +18,7 @@ from fractions import Fraction
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
 from .numbers import QQ, common_tower, common_tower_of, inv, lift, scalar_json
-from .poly import (Point, multiplicity_at, separant, solve_system, univariate_slice,
-                   validate_input)
+from .poly import Point, separant, solve_system, univariate_slice, validate_input
 from .puiseux import _unify_coords, places_at
 from .series import TruncatedSeries, compose, derivative
 from . import factor as _factor
@@ -113,23 +113,10 @@ class Classification:
 
 
 def is_order_suitable(place):
-    """ord(A') = ord(B), cross-checked against the center-form test."""
-    e = place.e
-    c1 = place.center[1]
-    ord_Aprime = e - 1
-    if c1 == 0:
-        ord_B = place.ord_B()
-    else:
-        ord_B = 0
-    suitable = ord_Aprime == ord_B
-    # the equivalent characterization through the center must agree
-    if c1 == 0:
-        lemma = (e == place.ord_B() + 1)
-    else:
-        lemma = (e == 1)
-    if suitable != lemma:
-        raise ArithmeticError("order-suitability criteria disagree")
-    return suitable
+    """ord(A') = ord(B): ord(A') = e - 1, and ord(B) is 0 off the z-axis.
+    The center-form test (e = ord(B) + 1 on the axis, e = 1 off it) is
+    the same comparison rearranged, so it needs no second check."""
+    return place.e - 1 == (place.ord_B() if place.center[1] == 0 else 0)
 
 
 def reparametrize(place, n):
@@ -169,13 +156,13 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     c0, c1 = _unify_coords(*c, cap=cap)
     if F.eval(c0, c1) != 0:
         return []
-    mult, probe_n, probe = _probe(F, (c0, c1), cap)
-    if not any(is_order_suitable(p) for p in probe):
+    probe = places_at(F, (c0, c1), 1, cap=cap)  # the structure, at order 1
+    if not any(map(is_order_suitable, probe)):
         return []
+    mult = probe[0].center_multiplicity
     need = max(n, mult + max(p.e for p in probe)) + F.deg_z + 2
-    full = probe if need <= probe_n else places_at(F, (c0, c1), need, cap=cap)
     out = []
-    for place in full:
+    for place in places_at(F, (c0, c1), need, cap=cap):
         if not is_order_suitable(place):
             continue
         m_out = max(n, mult + place.e)
@@ -193,14 +180,6 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
             if out[i].series.agrees_with(out[j].series):
                 raise ArithmeticError("solve_at produced coinciding truncations")
     return out
-
-
-def _probe(F, c, cap):
-    """Multiplicity m at the curve point c, probe order m + deg_z + 2 and
-    the places at c to it, which fix the branches and their suitability."""
-    mult = multiplicity_at(F, c)
-    n = mult + F.deg_z + 2
-    return mult, n, places_at(F, c, n, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +212,8 @@ def critical_set(F, cap=_factor.DEFAULT_DEGREE_CAP):
 def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
     """Algorithm 2: bucket every critical point by its number of
     non-constant solutions, the number of order-suitable places
-    centered there; all other curve points carry exactly one.
+    centered there, read from the structural pass at order 1; all
+    other curve points carry exactly one.
 
     With jobs > 1 the critical points are processed in worker
     processes; the merge order is fixed by the point order either way.
@@ -257,9 +237,10 @@ def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
 
 
 def _count_at(arg):
-    """The number of order-suitable places centered at a critical point."""
+    """The number of order-suitable places centered at a critical point,
+    read from the structural pass at order 1."""
     F, p, cap = arg
-    return sum(map(is_order_suitable, _probe(F, p, cap)[2]))
+    return sum(map(is_order_suitable, places_at(F, p, 1, cap=cap)))
 
 
 def _parallel_counts(args, jobs):

@@ -84,6 +84,23 @@ def test_parse_tuple_errors():
         parse_initial_tuple("y, 1")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("root(y^2-3, 1), 0", "unknown identifier 'y'", 5),
+    ("root(x*y' - 1, 1), 0", "y' not allowed here", 7),
+    ("root(z^2-3,1), 0", "unknown identifier 'z'", 5),
+])
+def test_parse_tuple_root_admits_only_x(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_initial_tuple(text)
+    assert str(exc.value) == message and exc.value.position == position
+
+
+def test_cli_solve_rejects_root_of_a_non_x_polynomial():
+    code, out, err = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2",
+                             "--at", "root(y^2-3, 1), 0")
+    assert code == 2 and out == "" and "unknown identifier 'y'" in err
+
+
 def test_cli_solve_paper_line():
     code, out, err = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2",
                              "--at", "-1, 0", "--order", "4")

@@ -125,16 +125,27 @@ def test_benchmark_bindings_resolve():
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_paper_cases_match_golden():
-    """The paper's examples print, byte for byte, the JSON pinned in
-    perfbench/golden.json, so a change to their output fails in Tier-1."""
+def _assert_golden(select):
+    """The golden.json cases that ``select`` picks print their pinned bytes."""
     from aodesolve import cli
 
     with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
-        cases = [case for case in json.load(fh) if case.get("paper")]
+        cases = [case for case in json.load(fh) if select(case)]
     assert cases
     for case in cases:
         out, err = io.StringIO(), io.StringIO()
         assert cli.main(case["argv"], out=out, err=err) == 0, err.getvalue()
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == case["sha256"], case["argv"]
+
+
+def test_paper_cases_match_golden():
+    """The paper's examples print, byte for byte, the JSON pinned in
+    perfbench/golden.json, so a change to their output fails in Tier-1."""
+    _assert_golden(lambda case: case.get("paper"))
+
+
+def test_classify_cases_match_golden():
+    """Every pinned classify input (the Ex2 family) prints its golden JSON,
+    so the counts read at order 1 are checked against the pinned buckets."""
+    _assert_golden(lambda case: case["argv"][0] == "classify")

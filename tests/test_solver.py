@@ -9,10 +9,11 @@ from aodesolve.errors import (ExtensionLimitExceeded, InsufficientPrecision,
                               NotOrderSuitable, PointNotOnCurve, SeparantVanishes)
 from aodesolve.factor import adjoin_root, alg_eq, all_roots
 from aodesolve.numbers import QQ, AlgebraicNumber
+from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
 from aodesolve.puiseux import Place, places_at
 from aodesolve.series import TruncatedSeries, derivative
-from aodesolve import solver
+from aodesolve import poly, puiseux, solver
 from aodesolve.solver import (classify, constant_solutions, critical_set,
                               direct_method, is_order_suitable, reparametrize,
                               solve_at)
@@ -330,16 +331,61 @@ def test_parallel_classify_matches(ex1):
                     reason="workers must inherit the patched probe")
 def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
     # a fault inside a worker is not a reason to fall back to serial
-    parent, real = os.getpid(), solver._probe
+    parent, real = os.getpid(), solver.places_at
 
     def probe(*args, **kwargs):
         if os.getpid() != parent:
             raise TypeError("fault inside a worker")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_probe", probe)
+    monkeypatch.setattr(solver, "places_at", probe)
     with pytest.raises(TypeError):
         classify(ex1, jobs=2)
+
+
+def _structure(places):
+    return sorted((p.e, p.ord_B(), is_order_suitable(p), p.center_multiplicity)
+                  for p in places)
+
+
+@pytest.mark.parametrize("ode", [
+    "(y')^2 - y^3 - y^2",
+    "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2",
+    "((y')^2 - 2)^2 - 3*y",
+    "(y')^2 - y^7 - 1",
+    "y' - y^6",  # ord(B) = 6 at (0, 0), more than mult + deg_z + 2 = 4
+    "(y')^3 - y^2",
+])
+def test_place_structure_does_not_depend_on_the_order(ode):
+    # the Newton polygons fix e, ord(B) and the multiplicity, so order 1
+    # reads the same places as order 10, and classify counts them
+    Fp = parse_polynomial(ode)
+    cls = classify(Fp)
+    count = {id(p): k for k, pts in cls.buckets.items() for p in pts}
+    count.update((id(p), 1) for p in cls.a1_extra)
+    for p in cls.complement_of:
+        deep = places_at(Fp, (p.y, p.z), 10)
+        assert _structure(places_at(Fp, (p.y, p.z), 1)) == _structure(deep)
+        assert count[id(p)] == sum(map(is_order_suitable, deep))
+
+
+def test_each_critical_point_is_translated_once(ex2, monkeypatch):
+    real, calls = poly.translate, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args):
+        raise RuntimeError("multiplicity_at translates F a second time")
+
+    monkeypatch.setattr(poly, "translate", counting)
+    monkeypatch.setattr(puiseux, "translate", counting)
+    monkeypatch.setattr(poly, "multiplicity_at", refuse)
+    assert "multiplicity_at" not in vars(solver)
+    cls = classify(ex2)
+    assert len(calls) == len(cls.complement_of) == 11
+    assert len(solve_at(ex2, (F(0), F(1)), 4)) == 2
 
 
 def test_degree_cap_reaches_cross_tower_lifting(ex1):
