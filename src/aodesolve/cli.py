@@ -12,10 +12,17 @@ import sys
 from .errors import ExtensionLimitExceeded, SolverError
 from .numbers import DEFAULT_DEGREE_CAP, scalar_json
 from .parsing import parse_initial_tuple, parse_polynomial
-from .poly import multiplicity_at, validate_input
+from .poly import validate_input
 from .puiseux import default_bound, places_at
 from .solver import (classify, constant_solutions, critical_set,
                      direct_method, solve_at)
+
+
+def _at_least_one(text):
+    """The type of every integer option: an int >= 1, else exit 2."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
 
 
 def _build_parser():
@@ -40,15 +47,15 @@ def _build_parser():
             p.add_argument("--at", required=True, metavar="C0,C1",
                            help="initial tuple, e.g. \"1, sqrt(2)\"")
         if "order" in opts:
-            p.add_argument("--order", type=int, default=None, metavar="N",
+            p.add_argument("--order", type=_at_least_one, default=None, metavar="N",
                            help="truncation order (N >= 1)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if "cap" in opts:
-            p.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+            p.add_argument("--degree-cap", type=_at_least_one, default=DEFAULT_DEGREE_CAP,
                            help="maximum tower extension degree (default %d)"
                                 % DEFAULT_DEGREE_CAP)
         if "jobs" in opts:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_at_least_one, default=1,
                            help="parallel classification workers")
     return ap
 
@@ -122,12 +129,8 @@ def _run(args, out):
                       % ", ".join(_coord_str(c) for c in cl.constants))
         return 0
 
-    order = args.order
-    if order is not None and order < 1:
-        raise ValueError("--order must be >= 1")
-
     if args.command == "places":
-        n = order if order is not None else default_bound(F)
+        n = args.order or default_bound(F)
         crit = critical_set(F, cap)
         records = []
         for p, _tags in crit:
@@ -147,12 +150,7 @@ def _run(args, out):
     # solve / direct need the tuple
     c0, c1, _tower = parse_initial_tuple(args.at, cap=cap)
     if args.command == "solve":
-        if order is None:
-            if F.eval(c0, c1) == 0:
-                order = 2 * multiplicity_at(F, (c0, c1)) + 2
-            else:
-                order = 1
-        sols = solve_at(F, (c0, c1), order, cap=cap)
+        sols = solve_at(F, (c0, c1), args.order, cap=cap)
         if args.format == "json":
             _write_json({"solutions": [s.to_json() for s in sols]}, out)
         else:
@@ -163,7 +161,7 @@ def _run(args, out):
         return 0
 
     if args.command == "direct":
-        n = order if order is not None else 6
+        n = args.order or 6
         sol = direct_method(F, (c0, c1), n)
         if args.format == "json":
             _write_json({"solution": sol.to_json()}, out)

@@ -75,11 +75,7 @@ def _norm(p, tower):
     sub = Tower(tower.levels[:-1])
     d = tower.levels[-1].degree
     cols = [[Fraction(0)] * len(p.coeffs) for _ in range(d)]
-    for xi, c in enumerate(p.coeffs):
-        c = as_alg(c, tower)
-        rep = rep_lift(c.rep, c.level, h)
-        if not isinstance(rep, tuple):
-            rep = (rep,)
+    for xi, rep in enumerate(_factor_reps(p, tower)):  # a tuple at height h >= 1
         for tpow, sub_rep in enumerate(rep):
             cols[tpow][xi] = AlgebraicNumber(sub, h - 1, sub_rep)
     bpolys = [UniPoly(col, p.var) for col in cols]

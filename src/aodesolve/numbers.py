@@ -505,11 +505,11 @@ class AlgebraicNumber:
             return self.level == 0 and self.rep == other
         if not isinstance(other, AlgebraicNumber):
             return NotImplemented
-        if self.level == 0 and other.level == 0:
-            return self.rep == other.rep
-        if common_tower(self.tower, other.tower) is None:
+        if self.level != other.level or self.rep != other.rep:
             return False
-        return self.level == other.level and self.rep == other.rep
+        # the fields __hash__ reads: sibling towers share the levels below
+        return (self.tower is other.tower
+                or self.tower.levels[:self.level] == other.tower.levels[:self.level])
 
     def __hash__(self):
         if self.level == 0:

@@ -14,6 +14,7 @@ are separated structurally, independent of the truncation order.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
@@ -117,15 +118,7 @@ def _char_poly(F, edge):
 def _transform(F, edge, u, v, xi):
     """F(xi^v y^p, y^q (xi^u + z)) divided by the full power of y."""
     p, q = edge.p, edge.q
-    xipows = {}
-
-    def xipow(n):
-        r = xipows.get(n)
-        if r is None:
-            r = xi ** n
-            xipows[n] = r
-        return r
-
+    xipow = cache(lambda n: xi ** n)
     old = F.terms
     L = min(p * i + q * j for (i, j) in old)
     terms = {}

@@ -9,17 +9,19 @@ order one solving
 and A(S) is the solution.  The Newton polygons alone fix the places at
 a point, their e and ord(B), so ``classify`` counts the solutions there
 as the order-suitable places of the structural pass at order 1, without
-solving.  Away from the critical set V(F, z) u V(F, S_F) the separant
+solving; ``solve_at`` alone decides the order of each solution it
+returns.  Away from the critical set V(F, z) u V(F, S_F) the separant
 recursion provides an independent route to the same series.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
 from .numbers import QQ, common_tower, common_tower_of, inv, lift, scalar_json
 from .poly import Point, separant, solve_system, univariate_slice, validate_input
-from .puiseux import _unify_coords, places_at
+from .puiseux import _unify_coords, default_bound, places_at
 from .series import TruncatedSeries, compose, derivative
 from . import factor as _factor
 
@@ -146,11 +148,14 @@ def reparametrize(place, n):
 # Algorithm 1: solutions at an initial tuple
 
 
-def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
+def solve_at(F, c, n=None, cap=_factor.DEFAULT_DEGREE_CAP):
     """All truncated non-constant solutions with initial tuple c.
 
-    Output order is max(n, multiplicity + ramification index) per
-    solution, which separates distinct solutions.
+    Each starts at order max(n, mult + e), n = 2*mult + 2 by default
+    (mult the multiplicity, e the ramification index).  Solutions that
+    still agree are raised until they differ, as distinct order-suitable
+    places give distinct solutions, but not past start + default_bound(F);
+    the places are read again, with doubled tails, when an order runs past B.
     """
     validate_input(F)
     c0, c1 = _unify_coords(*c, cap=cap)
@@ -160,26 +165,33 @@ def solve_at(F, c, n, cap=_factor.DEFAULT_DEGREE_CAP):
     if not any(map(is_order_suitable, probe)):
         return []
     mult = probe[0].center_multiplicity
-    need = max(n, mult + max(p.e for p in probe)) + F.deg_z + 2
-    out = []
-    for place in places_at(F, (c0, c1), need, cap=cap):
-        if not is_order_suitable(place):
-            continue
-        m_out = max(n, mult + place.e)
-        S = reparametrize(place, m_out)
-        if common_tower(common_tower_of(S.coeffs), place.tower) is None:
-            raise ArithmeticError("reparametrization left the place tower")
-        ytilde = compose(place.A, S)  # S is certified to m_out
-        if ytilde[0] - place.center[0] != 0 or ytilde[1] - place.center[1] != 0:
-            raise ArithmeticError("solution does not start at the initial tuple")
-        out.append(SolutionTruncation(ytilde, InitialTuple(place.center[0],
-                                                           place.center[1]),
-                                      place.place_id, S))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i].series.agrees_with(out[j].series):
-                raise ArithmeticError("solve_at produced coinciding truncations")
-    return out
+    n = 2 * mult + 2 if n is None else n
+    start = max(n, mult + max(p.e for p in probe))
+    limit, need, orders = start + default_bound(F), start + F.deg_z + 2, None
+    while True:
+        places = [p for p in places_at(F, (c0, c1), need, cap=cap) if is_order_suitable(p)]
+        orders = orders or [max(n, mult + p.e) for p in places]
+        while all(p.B.known(p.e + m - 2) for p, m in zip(places, orders)):
+            out = [_solution(p, m) for p, m in zip(places, orders)]
+            clash = {k for i, j in combinations(range(len(out)), 2)
+                     if out[i].series.agrees_with(out[j].series) for k in (i, j)}
+            if not clash:
+                return out
+            orders = [m + (k in clash) for k, m in enumerate(orders)]
+            if max(orders) > limit:
+                raise ArithmeticError("solutions still coincide past order %d" % limit)
+        need *= 2
+
+
+def _solution(place, m):
+    """The solution through an order-suitable place, to order m."""
+    S = reparametrize(place, m)
+    if common_tower(common_tower_of(S.coeffs), place.tower) is None:
+        raise ArithmeticError("reparametrization left the place tower")
+    ytilde = compose(place.A, S)  # S is certified to m
+    if ytilde[0] - place.center[0] != 0 or ytilde[1] - place.center[1] != 0:
+        raise ArithmeticError("solution does not start at the initial tuple")
+    return SolutionTruncation(ytilde, InitialTuple(*place.center), place.place_id, S)
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,35 @@ def test_cli_places():
     assert code == 0
     assert "center (-1, 0):" in out
     assert "(-1 + t^2, t - t^3)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--jobs", "-3"),
+    ("classify", "--jobs", "0"),
+    ("critical", "--degree-cap", "-5"),
+    ("constants", "--degree-cap", "0"),
+    ("places", "--order", "0"),
+    ("direct", "--at", "3, 6", "--order", "-1"),
+    ("solve", "--at", "3, 6", "--order", "0"),
+    ("solve", "--at", "3, 6", "--order", "two"),
+])
+def test_cli_integer_options_must_be_at_least_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--ode", "(y')^2 - y^3 - y^2")
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_solve_separates_solutions_that_agree_at_the_start():
+    # both places at (0, 0) have e = 2 and multiplicity 2; the solutions
+    # agree up to t^6 (resp. t^4), so their orders are raised to 7 (resp. 5)
+    code, out, _ = run_cli("solve", "--ode", "((y')^2 - y)^2 - y^7", "--at", "0, 0")
+    assert code == 0
+    assert out == ("y(t) = 1/4*t^2 - 1/768*t^7 + O(t^8)\n"
+                   "y(t) = 1/4*t^2 + 1/768*t^7 + O(t^8)\n")
+    for order in ("1", "2", "3", "4", "5"):
+        code, out, _ = run_cli("solve", "--ode", "((y')^2 - y)^2 - y^5",
+                               "--at", "0, 0", "--order", order)
+        assert code == 0
+        assert out == ("y(t) = 1/4*t^2 - 1/128*t^5 + O(t^6)\n"
+                       "y(t) = 1/4*t^2 + 1/128*t^5 + O(t^6)\n")

@@ -145,6 +145,14 @@ def test_paper_cases_match_golden():
     _assert_golden(lambda case: case.get("paper"))
 
 
+def test_solve_cases_match_golden():
+    """The pinned solve inputs at rational points, (c, +-c*sqrt(c + 1))
+    for c in 3, 8, 15, print their golden JSON, so a change in how
+    solve_at picks its orders fails here before the benchmark runs."""
+    _assert_golden(lambda case: case["argv"][0] == "solve"
+                   and case["argv"][4].split(",")[0] in ("3", "8", "15"))
+
+
 def test_classify_cases_match_golden():
     """Every pinned classify input (the Ex2 family) prints its golden JSON,
     so the counts read at order 1 are checked against the pinned buckets."""

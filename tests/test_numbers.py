@@ -6,8 +6,8 @@ import pytest
 
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
 from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
-                              roots_in_tower)
-from aodesolve.numbers import (QQ, AlgebraicNumber, field_arith,
+                              roots_by_factor, roots_in_tower)
+from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, field_arith, lift,
                                numeric_enclosure)
 from aodesolve.poly import UniPoly
 
@@ -174,6 +174,21 @@ def test_operators_do_not_lift_across_towers():
     # field_arith lifts, as its docstring promises
     s = field_arith(r2, r3, "add")
     assert ((s * s - 5) ** 2) == 24
+
+
+def test_equality_across_sibling_towers(sqrt2_tower):
+    # x^2 - 3 stays irreducible over Q(sqrt(2)), so each of its roots gets
+    # its own tower Q(sqrt(2))(a2); sqrt(2) lives in both at level 1
+    tower, r2 = sqrt2_tower
+    three = lift(F(3), tower)
+    roots = roots_by_factor(UniPoly([-three, lift(F(0), tower), lift(F(1), tower)]),
+                            tower)
+    (s, _), (t, _) = roots
+    assert common_tower(s.tower, t.tower) is None
+    a, b = lift(r2, s.tower), lift(r2, t.tower)
+    assert a == b and hash(a) == hash(b) and alg_eq(a, b)
+    assert s != t and not alg_eq(s, t)
+    assert a != -b and lift(F(1), s.tower) == lift(F(1), t.tower) == 1
 
 
 def test_cross_tower_lift_root_already_in_tower():

@@ -1,3 +1,4 @@
+import io
 import multiprocessing
 import os
 import random
@@ -13,7 +14,7 @@ from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
 from aodesolve.puiseux import Place, places_at
 from aodesolve.series import TruncatedSeries, derivative
-from aodesolve import poly, puiseux, solver
+from aodesolve import cli, poly, puiseux, solver
 from aodesolve.solver import (classify, constant_solutions, critical_set,
                               direct_method, is_order_suitable, reparametrize,
                               solve_at)
@@ -386,6 +387,11 @@ def test_each_critical_point_is_translated_once(ex2, monkeypatch):
     cls = classify(ex2)
     assert len(calls) == len(cls.complement_of) == 11
     assert len(solve_at(ex2, (F(0), F(1)), 4)) == 2
+    del calls[:]
+    # solve without --order takes its default order from solve_at's probe
+    assert cli.main(["solve", "--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2",
+                     "--at", "0, 1"], out=io.StringIO()) == 0
+    assert len(calls) == 2
 
 
 def test_degree_cap_reaches_cross_tower_lifting(ex1):
@@ -398,3 +404,53 @@ def test_degree_cap_reaches_cross_tower_lifting(ex1):
     with pytest.raises(ExtensionLimitExceeded):
         solve_at(ex1, (a, b), 3, cap=2)
     assert solve_at(ex1, (a, b), 3, cap=4) == []  # not a point of the curve
+
+
+@pytest.mark.parametrize("ode, points", [
+    ("(y')^2 - y^3 - y^2", None),
+    ("((y')^2 - y)^2 - y^5", None),
+    ("((y')^2 - y)^2 - y^7", None),
+    ("(y')^3 - y^2", None),
+    ("((y')^2 - 2)^2 - 3*y", None),
+    # the two solutions at (0, 0) live in sibling towers
+    ("((y')^2 + y)^2 - y^5*(y'+1)", [(F(0), F(0))]),
+])
+def test_solve_at_returns_one_solution_per_counted_place(ode, points):
+    """At every critical point, solve_at returns as many solutions as
+    classify counts there, whatever the requested order."""
+    Fp = parse_polynomial(ode)
+    cl = classify(Fp)
+    count = {id(p): i for i, pts in cl.buckets.items() for p in pts}
+    count.update((id(p), 1) for p in cl.a1_extra)
+    crit = [p for p in cl.complement_of if points is None or (p.y, p.z) in points]
+    assert crit
+    for p in crit:
+        for n in (1, 3, None):
+            sols = solve_at(Fp, (p.y, p.z), n)
+            assert len(sols) == count[id(p)], (ode, p, n)
+            for i, a in enumerate(sols):
+                assert not any(a.series.agrees_with(b.series) for b in sols[i + 1:])
+
+
+def test_solve_at_reads_the_places_again_when_an_order_runs_past_b(monkeypatch):
+    # the full pass is made to return short tails (n - 30), so the orders
+    # run past B and the pass is repeated with a doubled tail
+    Fp = parse_polynomial("((y')^2 - y)^2 - y^7")
+    want = [s.to_json() for s in solve_at(Fp, (F(0), F(0)), 25)]
+    real, calls = solver.places_at, []
+
+    def short(F_, c, n, cap):
+        calls.append(n)
+        return real(F_, c, max(1, n - 30), cap=cap)
+
+    monkeypatch.setattr(solver, "places_at", short)
+    assert [s.to_json() for s in solve_at(Fp, (F(0), F(0)), 25)] == want
+    assert calls == [1, 31, 62]
+
+
+def test_solve_at_raises_when_solutions_never_separate(ex1, monkeypatch):
+    # a places_at that lists each place twice must not hang solve_at
+    real = solver.places_at
+    monkeypatch.setattr(solver, "places_at", lambda *a, **kw: real(*a, **kw) * 2)
+    with pytest.raises(ArithmeticError, match="still coincide past order 13"):
+        solve_at(ex1, (F(3), F(6)), 4)
