@@ -10,7 +10,7 @@ import json
 import sys
 
 from .errors import ExtensionLimitExceeded, SolverError
-from .numbers import DEFAULT_DEGREE_CAP, scalar_json
+from .numbers import DEFAULT_DEGREE_CAP, AlgebraicNumber, scalar_json
 from .parsing import parse_initial_tuple, parse_polynomial
 from .poly import validate_input
 from .puiseux import default_bound, places_at
@@ -74,6 +74,18 @@ def _coord_str(c):
 
 def _render_point(p):
     return "(%s, %s)" % (_coord_str(p.y), _coord_str(p.z))
+
+
+def _render_solution(series):
+    """y(t) = ..., then the hint of every generator its coefficients
+    name, so solutions in sibling towers (both naming a1) differ."""
+    line = "y(t) = %s\n" % series.render()
+    top = max((c for c in series.coeffs if isinstance(c, AlgebraicNumber)),
+              key=lambda c: c.level, default=None)
+    if top is not None and top.level:
+        line += "  where %s\n" % ", ".join(_coord_str(top.tower.generator(i))
+                                            for i in range(top.level))
+    return line
 
 
 def _write_json(obj, out):
@@ -157,7 +169,7 @@ def _run(args, out):
             if not sols:
                 out.write("no non-constant solutions\n")
             for s in sols:
-                out.write("y(t) = %s\n" % s.series.render())
+                out.write(_render_solution(s.series))
         return 0
 
     if args.command == "direct":
@@ -166,7 +178,7 @@ def _run(args, out):
         if args.format == "json":
             _write_json({"solution": sol.to_json()}, out)
         else:
-            out.write("y(t) = %s\n" % sol.series.render())
+            out.write(_render_solution(sol.series))
         return 0
 
     raise ValueError("unknown command %r" % args.command)

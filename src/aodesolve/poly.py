@@ -91,12 +91,16 @@ class UniPoly(TruncatedSeries):
 
     derivative = _derivative  # the series rule; _like keeps the UniPoly
 
-    def eval(self, x):
+    def eval(self, x, trunc=None):
         """p(x) by Horner's rule; x may be a scalar, a UniPoly, a BiPoly
-        or a TruncatedSeries.  The zero polynomial evaluates to 0 * x."""
+        or a TruncatedSeries.  The zero polynomial evaluates to 0 * x.
+        With trunc, each step is cut to that order, so no intermediate
+        of a series x is certified past it."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
+            if trunc is not None and acc.trunc is not None and acc.trunc > trunc:
+                acc = acc.truncate(trunc)
         return acc
 
     def render(self, var=None):

@@ -135,7 +135,9 @@ def _transform(F, edge, u, v, xi):
 def _regular_tail(H, n):
     """The unique series z(y), z(0) = 0, with H(y, z(y)) = 0, computed
     to n+1 coefficients by Newton iteration; requires dH/dz(0,0) != 0.
-    It comes back exact when those coefficients solve H exactly."""
+    It comes back exact when those coefficients solve H exactly; an
+    identity holds at every point, so one nonzero H(1/3, P(1/3)) rules
+    that out without the series check."""
     Hz = H.diff_z()
     coeffs = [_F0]
     tS = TruncatedSeries.exact([_F0, _F1])
@@ -146,9 +148,11 @@ def _regular_tail(H, n):
         den = Hz.eval_series(tS.truncate(k2 - 1), P)
         upd = P - num * invert(den)
         coeffs = list(upd.coeffs[:k2])
-    exact_poly = TruncatedSeries.exact(coeffs[:n + 1])
-    if H.eval_series(tS, exact_poly).is_zero_series():
-        return exact_poly
+    t0 = Fraction(1, 3)
+    if H.eval(t0, UniPoly(coeffs[:n + 1]).eval(t0)) == 0:
+        exact_poly = TruncatedSeries.exact(coeffs[:n + 1])
+        if H.eval_series(tS, exact_poly).is_zero_series():
+            return exact_poly
     return TruncatedSeries(coeffs[:n + 1], n)
 
 

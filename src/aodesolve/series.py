@@ -291,7 +291,9 @@ def invert(a, trunc=None):
 def compose(outer, inner):
     """outer(inner) with the certified order t propagated: Horner's rule
     (UniPoly.eval) on the outer coefficients at the inner series cut to
-    order t, so no intermediate carries an exact blowup."""
+    order t, each step cut to t, so no intermediate carries an exact
+    blowup.  An exact monomial inner rho t^k takes no series product:
+    c_i rho^i lands at t^(i k)."""
     from .poly import UniPoly
 
     io = inner.order_lower_bound()
@@ -308,6 +310,13 @@ def compose(outer, inner):
         t = min(cands)
         if t == float("inf"):  # composing with the exact zero inner series
             t = None
+    if inner.is_exact() and len(inner.coeffs) == io + 1:
+        out, pw = [_F0] * (io * len(outer.coeffs)), _F1
+        for i, c in enumerate(outer.coeffs):
+            if c != 0:
+                out[i * io] = c * pw
+            pw = pw * inner.coeffs[io]
+        return inner._like(out, t)
     if t is None:
         return _coerce(UniPoly(outer.coeffs).eval(inner))
-    return _coerce(UniPoly(outer.coeffs).eval(inner.truncate(t))).truncate(t)
+    return _coerce(UniPoly(outer.coeffs).eval(inner.truncate(t), t)).truncate(t)

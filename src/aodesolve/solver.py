@@ -122,26 +122,44 @@ def is_order_suitable(place):
 
 
 def reparametrize(place, n):
-    """The unique order-one series S with A'(S) S' = B(S), to order n."""
+    """The unique order-one series S with A'(S) S' = B(S), to order n.
+
+    With psi(w) = (e*lam)^(-1) * sum_j B[k+j] w^j, S' = psi(S), so
+    (i+1) s_{i+1} = sum_j psi_j C[j][i] for the power table
+    C[j][i] = [t^i] S^j = sum_{m=1}^{i-j+1} s_m C[j-1][i-m], which
+    needs only s_1..s_i: O(n^3) scalar products in all.
+    """
     if not is_order_suitable(place):
         raise NotOrderSuitable("place is not order-suitable")
     e = place.e
     k = e - 1
-    # psi(w) = (e*lam)^(-1) * sum_j B[k+j] w^j
     if not place.B.known(k + n - 1):
         raise InsufficientPrecision(
             "need %d certified coefficients of B, have %s" % (k + n - 1, place.B.trunc))
     scale = inv(place.lam * e)
     psi = [place.B[k + j] * scale for j in range(n)]
     s = [_F0, psi[0]]  # s1 = b_k / a_k
+    C = [None, s]  # C[j][i] = [t^i] S^j, zero for i < j; C[1] is s itself
     for i in range(1, n):
-        # (i+1) s_{i+1} = [t^i] psi(S)
-        coeff = compose(TruncatedSeries.exact(psi[:i + 1]), TruncatedSeries(s, i))[i]
-        s.append(coeff * Fraction(1, i + 1))
+        for j in range(2, i + 1):
+            if j == len(C):
+                C.append([_F0] * j)
+            C[j].append(_dot(s[1:i - j + 2], C[j - 1][i - 1:j - 2:-1]))
+        si = _dot(psi[1:i + 1], [C[j][i] for j in range(1, i + 1)])
+        s.append(si * Fraction(1, i + 1))
     S = TruncatedSeries(s[:n + 1], n)
     if S.order() != 1:
         raise ArithmeticError("reparametrization is not of order one")
     return S
+
+
+def _dot(xs, ys):
+    """sum x*y over the pairs with no zero factor, from _F0."""
+    acc = _F0
+    for x, y in zip(xs, ys):
+        if x != 0 and y != 0:
+            acc = acc + x * y
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -243,3 +243,15 @@ def test_cli_solve_separates_solutions_that_agree_at_the_start():
         assert code == 0
         assert out == ("y(t) = 1/4*t^2 - 1/128*t^5 + O(t^6)\n"
                        "y(t) = 1/4*t^2 + 1/128*t^5 + O(t^6)\n")
+
+
+def test_cli_solve_text_names_the_root_of_each_generator():
+    # the two solutions live in sibling towers Q(a1), a1 = -i/2 and a1 = i/2,
+    # so only the generator hint after each series tells them apart
+    code, out, _ = run_cli("solve", "--ode", "((y')^2 + y)^2 - y^5*(y'+1)", "--at", "0, 0")
+    assert code == 0
+    series = "y(t) = -1/4*t^2 + 1/64*a1*t^5 - 1/320*a1*t^6 + O(t^7)\n"
+    assert out == series + "  where a1~0-0.5i\n" + series + "  where a1~0+0.5i\n"
+    code, out, _ = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "1, sqrt(2)",
+                           "--order", "2")
+    assert out == "y(t) = 1 + sqrt(2)*t + 5/4*t^2 + O(t^3)\n  where sqrt(2)~1.41421\n"

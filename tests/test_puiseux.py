@@ -318,3 +318,33 @@ def test_rescaling_into_a_new_tower_keeps_coefficients_in_it():
                 out=out, err=err) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         "84eeef714842700239e72a43e99e1f598fe7ceafe662228d21153f67a2eab336"
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_regular_tail_is_exact_only_when_it_solves_h(n):
+    """A polynomial tail comes back exact, a non-polynomial one truncated
+    at n, also when H vanishes on the whole line y = 1/3, where the
+    scalar pre-check in _regular_tail cannot rule exactness out."""
+    from aodesolve.puiseux import _regular_tail
+
+    for text in ("(y' - 2*y)*(1 + y' + y^2)", "(1 - 3*y)*(y' - 2*y)*(1 + y')"):
+        Z = _regular_tail(parse_polynomial(text), n)
+        assert Z.trunc is None and Z.coeffs == (0, 2), text
+    catalan = [0, 1, 1, 2, 5, 14, 42, 132]  # z = y + z^2
+    for text in ("y' - y - (y')^2", "(1 - 3*y)*(y' - y - (y')^2)"):
+        Z = _regular_tail(parse_polynomial(text), n)
+        assert Z.trunc == n, text
+        assert list(Z.coeffs[:8]) == catalan[:n + 1], text
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_place_tails_keep_their_exactness(ex1, n):
+    """(t^2 - 1, t - t^3) at (-1, 0) is exact once its tail is long
+    enough; the places t -> (t, +-t sqrt(1 + t)) at (0, 0) never are."""
+    (ramified,) = places_at(ex1, (F(-1), F(0)), n)
+    if n > 1:
+        assert ramified.B.trunc is None and ramified.B.coeffs == (0, 1, 0, -1)
+    else:
+        assert ramified.B.trunc == 2 and ramified.B.coeffs == (0, 1, 0)
+    for pl in places_at(ex1, (F(0), F(0)), n):
+        assert pl.B.trunc == n + 1

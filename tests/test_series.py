@@ -118,6 +118,50 @@ def test_compose_zero_outer_keeps_inner_order():
     assert compose(S([]), S([0, 1], 3)) == S([0], 3)
 
 
+def test_horner_steps_are_cut_at_the_target_order(monkeypatch):
+    # outer = t^4 at t + 2t^2 + O(t^6): uncut, the Horner intermediates
+    # t^2, t^3, t^4 are certified to O(t^7), O(t^8), O(t^9)
+    x = S([0, 1, 2, 0, 0, 0], 5)
+    assert UniPoly([0, 0, 0, 0, 1]).eval(x).trunc == 8
+    cut = UniPoly([0, 0, 0, 0, 1]).eval(x, 5)
+    assert cut == S([0, 0, 0, 0, 1, 8], 5)
+    products = []  # each cut step times x is certified to t^6 at most
+    mul = TruncatedSeries.__mul__
+
+    def traced(a, b):
+        products.append(mul(a, b))
+        return products[-1]
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", traced)
+    assert compose(S([0, 0, 0, 0, 1]), x) == cut
+    assert max(p.trunc for p in products if p.trunc is not None) == 6
+
+
+def test_compose_with_a_monomial_inner_takes_no_series_product(monkeypatch):
+    """outer(rho t^k) equals Horner's result, scalar types included, with
+    no product of series: c_i rho^i goes straight to t^(i k)."""
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        outer = S([rng.choice([0, F(rng.randint(-9, 9), rng.randint(1, 4)), r2])
+                   for _ in range(n + 1)], rng.choice([None, n]))
+        k = rng.randint(1, 3)
+        inner = S([0] * k + [rng.choice([F(3, 2), -r2, 2 * r2])])
+        t = None if outer.is_exact() else k * (outer.trunc + 1) - 1
+        horner = UniPoly(outer.coeffs).eval(inner)
+        cases.append((outer, inner, horner if t is None else horner.truncate(t)))
+
+    def no_product(*args):
+        raise AssertionError("series product")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_product)
+    for outer, inner, want in cases:
+        got = compose(outer, inner)
+        assert got.trunc == want.trunc and got.to_json() == want.to_json()
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(7)
 

@@ -9,11 +9,11 @@ import pytest
 from aodesolve.errors import (ExtensionLimitExceeded, InsufficientPrecision,
                               NotOrderSuitable, PointNotOnCurve, SeparantVanishes)
 from aodesolve.factor import adjoin_root, alg_eq, all_roots
-from aodesolve.numbers import QQ, AlgebraicNumber
+from aodesolve.numbers import QQ, AlgebraicNumber, inv
 from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
 from aodesolve.puiseux import Place, places_at
-from aodesolve.series import TruncatedSeries, derivative
+from aodesolve.series import TruncatedSeries, compose, derivative
 from aodesolve import cli, poly, puiseux, solver
 from aodesolve.solver import (classify, constant_solutions, critical_set,
                               direct_method, is_order_suitable, reparametrize,
@@ -454,3 +454,41 @@ def test_solve_at_raises_when_solutions_never_separate(ex1, monkeypatch):
     monkeypatch.setattr(solver, "places_at", lambda *a, **kw: real(*a, **kw) * 2)
     with pytest.raises(ArithmeticError, match="still coincide past order 13"):
         solve_at(ex1, (F(3), F(6)), 4)
+
+
+def _reparametrize_by_compose(place, n):
+    """Oracle: each s_{i+1} from a full compose of psi with S to order i,
+    the per-coefficient recursion that the power table replaced."""
+    k = place.e - 1
+    scale = inv(place.lam * place.e)
+    psi = [place.B[k + j] * scale for j in range(n)]
+    s = [F(0), psi[0]]
+    for i in range(1, n):
+        coeff = compose(TruncatedSeries.exact(psi[:i + 1]), TruncatedSeries(s, i))[i]
+        s.append(coeff * F(1, i + 1))
+    return TruncatedSeries(s[:n + 1], n)
+
+
+def test_reparametrize_matches_the_compose_recursion(ex1, ex2):
+    """The power table gives the compose recursion's coefficients, scalar
+    types included (so the JSON is the same), up to order 30 on the
+    ramified place of Ex1 at (-1, 0), on Ex2's p3 at the singular center
+    (0, 1) and on the unramified place of Ex1 at (1, sqrt(2))."""
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    p3 = [p for p in places_at(ex2, (F(0), F(1)), 31) if p.e == 1 and p.B[2] == F(1, 2)]
+    cases = [places_at(ex1, (F(-1), F(0)), 31)[0], p3[0],
+             places_at(ex1, (QQ.rational(1), r2), 31)[0]]
+    assert [p.e for p in cases] == [2, 1, 1]
+    for place in cases:
+        oracle = _reparametrize_by_compose(place, 30)
+        for n in (1, 2, 3, 5, 10, 20, 30):
+            assert reparametrize(place, n).to_json() == oracle.truncate(n).to_json()
+
+
+def test_solve_at_matches_direct_method_at_order_40(ex1):
+    """A deep solution at a regular point equals the separant recursion."""
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    (sol,) = solve_at(ex1, (QQ.rational(1), r2), 40)
+    direct = direct_method(ex1, (QQ.rational(1), r2), 40)
+    assert sol.series.trunc == 40
+    assert sol.series.to_json() == direct.series.to_json()
