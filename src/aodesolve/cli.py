@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: solve, classify, places, critical, constants, direct,
-bound.  Exit codes: 0 success, 2 input validation failure, 3 resource
-limit (tower degree cap).
+bound.  Exit codes: 0 success, also when the reader closes the output
+pipe early (the rest of the output is dropped), 2 input validation
+failure, 3 resource limit (tower degree cap).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ExtensionLimitExceeded, SolverError
@@ -189,7 +191,13 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args, out)
+        code = _run(args, out)
+        out.flush()  # a closed pipe shows here, not in the exit-time flush
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:  # the exit-time flush then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ExtensionLimitExceeded as exc:
         err.write("resource limit: %s\n" % exc)
         return 3

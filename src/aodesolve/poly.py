@@ -387,10 +387,6 @@ def resultant_z(F, G):
     return resultant_lists(F.coeffs, G.coeffs, "y")
 
 
-def resultant_y(F, G):
-    return resultant_lists(F.columns("z"), G.columns("z"), "z")
-
-
 def _content_z(F):
     """gcd over K[y] of the z-coefficients."""
     g = UniPoly([], "y")

@@ -10,11 +10,12 @@ so coefficients stay in the tower generated by the characteristic
 roots xi; ramification never requires adjoining radicals of xi.  One
 leaf of the recursion corresponds to exactly one place (the t -> zeta*t
 conjugates of a ramified branch all follow the same leaf), so places
-are separated structurally, independent of the truncation order.
+are separated structurally, independent of the truncation order, and
+each place extends its own tail on demand.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, gcd
 
 from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
@@ -156,18 +157,18 @@ def _regular_tail(H, n):
     return TruncatedSeries(coeffs[:n + 1], n)
 
 
-def _expand(H, tower, n, cap, depth=0):
+def _expand(H, tower, cap, depth=0):
     """The branches of H through the origin, one (lam, e, Z, tower) per
-    leaf of the polygon recursion: y = lam * t^e, z = Z(t).  Each
-    polygon step is applied to the branches of its child on the way
-    back up."""
+    leaf of the polygon recursion: y = lam * t^e, z = Z(n) to order n,
+    the leaf's tail (a Newton lift, or the exact 0 of z | H) wrapped in
+    each polygon step on the way back up."""
     if depth > 64:
         raise ArithmeticError("Newton-Puiseux recursion failed to terminate")
     branches = []
     if H[0] == 0:
         # z | H: the branch terminates exactly with z = 0; the quotient
         # H / z cannot be divisible by z again (H is squarefree in z)
-        branches.append((Fraction(1), 1, TruncatedSeries.exact([]), tower))
+        branches.append((Fraction(1), 1, lambda n: TruncatedSeries.exact([]), tower))
         H = BiPoly.from_columns(H.coeffs[1:])
         if H[0] == 0:
             raise ArithmeticError("transformed polynomial divisible by z twice")
@@ -181,13 +182,18 @@ def _expand(H, tower, n, cap, depth=0):
             t2 = xi.tower
             H1 = _transform(H, edge, u, v, xi)  # xi puts every coefficient in t2
             if mult == 1:
-                subs = [(Fraction(1), 1, _regular_tail(H1, n), t2)]
+                subs = [(Fraction(1), 1, partial(_regular_tail, H1), t2)]
             else:
-                subs = _expand(H1, t2, n, cap, depth + 1)
+                subs = _expand(H1, t2, cap, depth + 1)
             for lam, e, Z, t3 in subs:
-                Z = (Z + TruncatedSeries.constant(xi ** u)).scale(lam ** q).shift(e * q)
+                Z = partial(_polygon_step, Z, xi ** u, lam ** q, e * q)
                 branches.append(((xi ** v) * lam ** p, e * p, Z, t3))
     return branches
+
+
+def _polygon_step(Z, c, s, k, n):
+    """(Z(n) + c) * s * t^k: a polygon step applied to its child's tail."""
+    return (Z(n) + TruncatedSeries.constant(c)).scale(s).shift(k)
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +202,27 @@ def _expand(H, tower, n, cap, depth=0):
 
 class Place:
     """A truncated irreducible local parametrization (A, B) with
-    A = c0 + lam * t^e exactly and B certified to the stated order."""
+    A = c0 + lam * t^e exactly and B = tail(n) certified to order n."""
 
     __slots__ = ("center", "e", "lam", "A", "B", "tower",
-                 "center_multiplicity", "place_id")
+                 "center_multiplicity", "place_id", "tail")
 
     def __init__(self, center, e, lam, B, tower, center_multiplicity, place_id=None):
         self.center = center
         self.e = e
         self.lam = lam
         self.B = B
+        self.tail = lambda n: B
         self.tower = tower
         c0 = center[0]
         self.A = TruncatedSeries.exact([c0] + [_F0] * (e - 1) + [lam])
         self.center_multiplicity = center_multiplicity
         self.place_id = place_id
+
+    def extend(self, n):
+        """This place, with B rebuilt from its tail unless known to order n."""
+        self.B = self.B if self.B.known(n) else self.tail(n)
+        return self
 
     @property
     def order(self):
@@ -273,7 +285,7 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
 
     The Duval bound (default_bound) guarantees that n covers the
     singular part; the branch separation itself is structural, so any
-    n >= 1 yields correct places with shorter tails.
+    n >= 1 yields correct places with shorter tails (see Place.extend).
     """
     c0, c1 = _unify_coords(*center, cap=cap)
     if F.eval(c0, c1) != 0:
@@ -281,11 +293,13 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
     tower = common_tower_of((c0, c1))
     G = translate(F, c0, c1)
     mult = G.min_total_degree()
-    places = []
-    for lam, e, Z, tw in _expand(G, tower, n, cap):
+    places, C1 = [], TruncatedSeries.constant(c1)
+    for lam, e, Z, tw in _expand(G, tower, cap):
         lam, Z, tw = _normalize(lam, e, Z, tw, cap)
-        B = Z + TruncatedSeries.constant(c1)
-        places.append(Place((lift(c0, tw), lift(c1, tw)), e, lam, B, tw, mult))
+        B = lambda n, Z=Z: Z(n) + C1
+        pl = Place((lift(c0, tw), lift(c1, tw)), e, lam, B(n), tw, mult)
+        pl.tail = B
+        places.append(pl)
     places.sort(key=_place_sort_key)
     for idx, pl in enumerate(places):
         pl.place_id = "p%d" % idx
@@ -305,8 +319,8 @@ def _unify_coords(c0, c1, cap=_factor.DEFAULT_DEGREE_CAP):
 
 
 def _rescale(Z, rho):
-    """Z(rho t)."""
-    return compose(Z, TruncatedSeries.exact([_F0, rho]))
+    """n -> Z(n)(rho t)."""
+    return lambda n: compose(Z(n), TruncatedSeries.exact([_F0, rho]))
 
 
 def _normalize(lam, e, Z, tower, cap):

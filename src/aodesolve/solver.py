@@ -7,11 +7,10 @@ order one solving
     S' = (a_k + a_{k+1} S + ...)^(-1) (b_k + b_{k+1} S + ...),
 
 and A(S) is the solution.  The Newton polygons alone fix the places at
-a point, their e and ord(B), so ``classify`` counts the solutions there
-as the order-suitable places of the structural pass at order 1, without
-solving; ``solve_at`` alone decides the order of each solution it
-returns.  Away from the critical set V(F, z) u V(F, S_F) the separant
-recursion provides an independent route to the same series.
+a point, their e and ord(B), so ``classify`` counts the order-suitable
+places of one pass at order 1, and ``solve_at`` extends the tails of
+that pass to the orders it decides.  Away from the critical set
+V(F, z) u V(F, S_F) the separant recursion gives the same series.
 """
 
 from fractions import Fraction
@@ -169,36 +168,33 @@ def _dot(xs, ys):
 def solve_at(F, c, n=None, cap=_factor.DEFAULT_DEGREE_CAP):
     """All truncated non-constant solutions with initial tuple c.
 
-    Each starts at order max(n, mult + e), n = 2*mult + 2 by default
-    (mult the multiplicity, e the ramification index).  Solutions that
-    still agree are raised until they differ, as distinct order-suitable
-    places give distinct solutions, but not past start + default_bound(F);
-    the places are read again, with doubled tails, when an order runs past B.
+    Each order-suitable place of one pass at order 1 extends its tail to
+    its solution's order, which starts at max(n, mult + e), n = 2*mult + 2
+    by default (mult the multiplicity, e the ramification index).
+    Solutions that still agree are raised until they differ, as distinct
+    order-suitable places give distinct solutions, but not past the
+    highest start plus default_bound(F).
     """
     validate_input(F)
     c0, c1 = _unify_coords(*c, cap=cap)
     if F.eval(c0, c1) != 0:
         return []
-    probe = places_at(F, (c0, c1), 1, cap=cap)  # the structure, at order 1
-    if not any(map(is_order_suitable, probe)):
+    places = [p for p in places_at(F, (c0, c1), 1, cap=cap) if is_order_suitable(p)]
+    if not places:
         return []
-    mult = probe[0].center_multiplicity
+    mult = places[0].center_multiplicity
     n = 2 * mult + 2 if n is None else n
-    start = max(n, mult + max(p.e for p in probe))
-    limit, need, orders = start + default_bound(F), start + F.deg_z + 2, None
+    orders = [max(n, mult + p.e) for p in places]
+    limit = max(orders) + default_bound(F)
     while True:
-        places = [p for p in places_at(F, (c0, c1), need, cap=cap) if is_order_suitable(p)]
-        orders = orders or [max(n, mult + p.e) for p in places]
-        while all(p.B.known(p.e + m - 2) for p, m in zip(places, orders)):
-            out = [_solution(p, m) for p, m in zip(places, orders)]
-            clash = {k for i, j in combinations(range(len(out)), 2)
-                     if out[i].series.agrees_with(out[j].series) for k in (i, j)}
-            if not clash:
-                return out
-            orders = [m + (k in clash) for k, m in enumerate(orders)]
-            if max(orders) > limit:
-                raise ArithmeticError("solutions still coincide past order %d" % limit)
-        need *= 2
+        out = [_solution(p.extend(p.e + m - 2), m) for p, m in zip(places, orders)]
+        clash = {k for i, j in combinations(range(len(out)), 2)
+                 if out[i].series.agrees_with(out[j].series) for k in (i, j)}
+        if not clash:
+            return out
+        orders = [m + (k in clash) for k, m in enumerate(orders)]
+        if max(orders) > limit:
+            raise ArithmeticError("solutions still coincide past order %d" % limit)
 
 
 def _solution(place, m):
@@ -276,8 +272,9 @@ def _count_at(arg):
 def _parallel_counts(args, jobs):
     import concurrent.futures
 
+    workers = min(jobs, len(args))  # a pool forks all its workers up front
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_count_at, args))
     except (OSError, ImportError):  # the pool could not start: run serially
         return None

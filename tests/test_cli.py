@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -255,3 +258,25 @@ def test_cli_solve_text_names_the_root_of_each_generator():
     code, out, _ = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "1, sqrt(2)",
                            "--order", "2")
     assert out == "y(t) = 1 + sqrt(2)*t + 5/4*t^2 + O(t^3)\n  where sqrt(2)~1.41421\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--at", "-1, 0", "--format", "json"),
+    ("places", "--order", "150", "--format", "json"),  # 28 kB: fails inside the write
+])
+def test_cli_exits_quietly_when_the_reader_has_closed_the_pipe(argv):
+    # the read end is closed before the process starts, so every write
+    # fails; stdout is block-buffered, so the short output fails only
+    # when it is flushed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "aodesolve", *argv,
+                               "--ode", "(y')^2 - y^3 - y^2"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")

@@ -157,3 +157,10 @@ def test_classify_cases_match_golden():
     """Every pinned classify input (the Ex2 family) prints its golden JSON,
     so the counts read at order 1 are checked against the pinned buckets."""
     _assert_golden(lambda case: case["argv"][0] == "classify")
+
+
+def test_places_cases_match_golden():
+    """Every pinned places input (the Ex2 family at order 6) prints its
+    golden JSON, so every tail built through a place's recipe is checked
+    byte for byte."""
+    _assert_golden(lambda case: case["argv"][0] == "places")

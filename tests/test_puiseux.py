@@ -8,7 +8,7 @@ from aodesolve.cli import main
 from aodesolve.errors import DegenerateInput, PointNotOnCurve
 from aodesolve.factor import adjoin_root, alg_eq
 from aodesolve.numbers import QQ, AlgebraicNumber, common_tower_of
-from aodesolve.parsing import parse_polynomial
+from aodesolve.parsing import parse_initial_tuple, parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, multiplicity_at, translate
 from aodesolve.puiseux import (default_bound, newton_polygon, places_at,
                                ramification_kind, tangent_vector)
@@ -348,3 +348,27 @@ def test_place_tails_keep_their_exactness(ex1, n):
         assert ramified.B.trunc == 2 and ramified.B.coeffs == (0, 1, 0)
     for pl in places_at(ex1, (F(0), F(0)), n):
         assert pl.B.trunc == n + 1
+
+
+@pytest.mark.parametrize("ode, at", [
+    ("(y')^2 - y^3 - y^2", "-1, 0"),  # Ex1: the tail is exact from n = 5
+    ("((y')^2 - 2)^2 - 3*y", "0, sqrt(2)"),  # rescaled into a new tower
+    ("(y' - y)*(y' - y - y^2 + (y')^3)", "0, 0"),  # z | H below a polygon step
+    ("((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2", "0, 1"),  # Ex2: two polygon edges
+    ("((y')^2 - y)^2 - y^7", "0, 0"),  # a polygon step below a polygon step
+])
+def test_extended_places_match_a_pass_at_that_order(ode, at):
+    """Places read at order 1 and extended to 5, then to 30, print what
+    places_at prints at 30: a place keeps its tail's recipe, so extending
+    it needs no second pass.  At 5 a tail already known that far is kept.
+    (The third curve is reducible; places_at does not validate, and only
+    such a curve has z | H after a polygon step, where the branch is
+    exactly 0.)"""
+    Fp = parse_polynomial(ode)
+    c0, c1, _ = parse_initial_tuple(at)
+    short, deep = places_at(Fp, (c0, c1), 1), places_at(Fp, (c0, c1), 30)
+    for p, q in zip(short, deep):
+        B = p.B
+        assert p.extend(5).B.known(5) and p.B.agrees_with(q.B)
+        assert p.B is B or not B.known(5)
+    assert [p.extend(30).to_json() for p in short] == [q.to_json() for q in deep]

@@ -345,8 +345,10 @@ def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
 
 
 def _structure(places):
-    return sorted((p.e, p.ord_B(), is_order_suitable(p), p.center_multiplicity)
-                  for p in places)
+    """The place structure in place_id order; solve takes its ids from
+    the order-1 sort."""
+    return [(p.place_id, p.e, p.ord_B(), is_order_suitable(p), p.center_multiplicity,
+             p.B[0], p.B[1]) for p in places]
 
 
 @pytest.mark.parametrize("ode", [
@@ -359,7 +361,8 @@ def _structure(places):
 ])
 def test_place_structure_does_not_depend_on_the_order(ode):
     # the Newton polygons fix e, ord(B) and the multiplicity, so order 1
-    # reads the same places as order 10, and classify counts them
+    # reads the same places, in the same order, as order 10, and
+    # classify counts them
     Fp = parse_polynomial(ode)
     cls = classify(Fp)
     count = {id(p): k for k, pts in cls.buckets.items() for p in pts}
@@ -386,12 +389,14 @@ def test_each_critical_point_is_translated_once(ex2, monkeypatch):
     assert "multiplicity_at" not in vars(solver)
     cls = classify(ex2)
     assert len(calls) == len(cls.complement_of) == 11
-    assert len(solve_at(ex2, (F(0), F(1)), 4)) == 2
     del calls[:]
-    # solve without --order takes its default order from solve_at's probe
+    assert len(solve_at(ex2, (F(0), F(1)), 4)) == 2
+    assert len(calls) == 1
+    del calls[:]
+    # solve without --order takes its default order from its one pass
     assert cli.main(["solve", "--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2",
                      "--at", "0, 1"], out=io.StringIO()) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_degree_cap_reaches_cross_tower_lifting(ex1):
@@ -432,20 +437,46 @@ def test_solve_at_returns_one_solution_per_counted_place(ode, points):
                 assert not any(a.series.agrees_with(b.series) for b in sols[i + 1:])
 
 
-def test_solve_at_reads_the_places_again_when_an_order_runs_past_b(monkeypatch):
-    # the full pass is made to return short tails (n - 30), so the orders
-    # run past B and the pass is repeated with a doubled tail
+def test_solve_at_extends_the_places_of_one_pass_at_order_1(monkeypatch):
+    # the places read at order 1 extend their own tails to order 25 and
+    # give the solutions that a pass at order 60 gives
     Fp = parse_polynomial("((y')^2 - y)^2 - y^7")
-    want = [s.to_json() for s in solve_at(Fp, (F(0), F(0)), 25)]
+    deep = [p for p in places_at(Fp, (F(0), F(0)), 60) if is_order_suitable(p)]
+    want = [solver._solution(p, 25).to_json() for p in deep]
     real, calls = solver.places_at, []
 
-    def short(F_, c, n, cap):
+    def counting(F_, c, n, cap):
         calls.append(n)
-        return real(F_, c, max(1, n - 30), cap=cap)
+        return real(F_, c, n, cap=cap)
 
-    monkeypatch.setattr(solver, "places_at", short)
+    monkeypatch.setattr(solver, "places_at", counting)
     assert [s.to_json() for s in solve_at(Fp, (F(0), F(0)), 25)] == want
-    assert calls == [1, 31, 62]
+    assert calls == [1]
+
+
+def test_classify_starts_no_more_workers_than_critical_points(ex1, monkeypatch):
+    # a process pool forks all of its workers up front, so --jobs beyond
+    # the number of points must not reach it; the stand-in starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    assert len(classify(ex1, jobs=5000).complement_of) == 2
+    assert sizes == [2]
 
 
 def test_solve_at_raises_when_solutions_never_separate(ex1, monkeypatch):
