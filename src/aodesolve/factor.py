@@ -1,13 +1,15 @@
 """Univariate factorization over extension towers and root adjunction.
 
-Factorization over Q is delegated to sympy (a complete procedure);
-factorization over a tower level reduces to the level below by Trager's
-norm construction, with the norm computed as a resultant via the
-subresultant PRS.  Roots found over the algebraic closure are pinned to
-individual complex embeddings by isolating boxes, so conjugates come
-back as distinct values in distinct towers.
+Factorization over Q is in-house up to degree 2 (a quadratic splits iff
+its discriminant is a rational square) and delegated to sympy above (a
+complete procedure); factorization over a tower level reduces to the
+level below by Trager's norm construction, with the norm computed as a
+resultant via the subresultant PRS.  Roots found over the algebraic
+closure are pinned to individual complex embeddings by isolating boxes,
+so conjugates come back as distinct values in distinct towers.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import ExtensionLimitExceeded
@@ -26,8 +28,16 @@ def _coeff_key(p, prec=48):
 # factorization
 
 
+def _factor_key(fm):
+    return fm[0].degree, _coeff_key(fm[0])
+
+
 def factor_q(p):
-    """Monic irreducible factorization over Q via sympy."""
+    """Monic irreducible factorization over Q, [(factor, multiplicity)]
+    sorted by degree and then by coefficients: in-house below degree 3,
+    by sympy from there."""
+    if p.degree <= 2:
+        return _factor_small(p)
     import sympy
 
     x = sympy.Symbol("x")
@@ -42,8 +52,28 @@ def factor_q(p):
         for (k,), c in sympy.Poly(f, x).terms():
             coeffs[int(k)] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
         out.append((UniPoly(coeffs, p.var).monic(), m))
-    out.sort(key=lambda fm: (fm[0].degree, _coeff_key(fm[0])))
+    out.sort(key=_factor_key)
     return out
+
+
+def _factor_small(p):
+    """factor_q below degree 3.  A monic quadratic x^2 + bx + c splits
+    over Q iff its discriminant b^2 - 4c is the square of a rational, so
+    iff the numerator and the denominator of the reduced fraction are
+    both squares."""
+    if p.degree < 2:
+        return [(p.monic(), 1)] if p.degree == 1 else []
+    p = p.monic()
+    c, b, _ = p.coeffs
+    disc = b * b - 4 * c
+    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return [(p, 1)]
+    if not num:
+        return [(UniPoly([b / 2, _F1], p.var), 2)]
+    s = Fraction(num, den)
+    return sorted([(UniPoly([(b + s) / 2, _F1], p.var), 1),
+                   (UniPoly([(b - s) / 2, _F1], p.var), 1)], key=_factor_key)
 
 
 def factor_over_tower(p, tower):
@@ -58,7 +88,7 @@ def factor_over_tower(p, tower):
     for g, m in squarefree_decomposition(p):
         for h in _trager_irreducible(g, tower):
             out.append((h, m))
-    out.sort(key=lambda fm: (fm[0].degree, _coeff_key(fm[0])))
+    out.sort(key=_factor_key)
     return out
 
 

@@ -526,8 +526,17 @@ def _validate_cached(F):
         witness = BiPoly({(0, 1): _F1, (0, 0): -root})
         raise NotIrreducible("F factors over an algebraic extension",
                              witness=witness)
+    # F with no y-content and disc_z(F) != 0 is squarefree, and the Ruppert
+    # count of a squarefree F is its number of absolutely irreducible
+    # factors: then a count of 1 proves F irreducible, over Q as well
+    squarefree = (_content_z(F).is_constant()
+                  and not resultant_z(F, F.diff_z()).is_zero())
+    r = ruppert_factor_count(F) if squarefree else None
+    if r == 1:
+        return F
     _check_q_irreducible(F)
-    r = ruppert_factor_count(F)
+    if r is None:
+        r = ruppert_factor_count(F)
     if r != 1:
         raise NotIrreducible(
             "F is irreducible over Q but splits into %d factors over the "

@@ -280,3 +280,28 @@ def test_cli_exits_quietly_when_the_reader_has_closed_the_pipe(argv):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+_SYMPY_PROBE = """
+import io, json, sys
+from aodesolve.cli import main
+print(json.dumps([[main(argv, out=io.StringIO(), err=io.StringIO()), "sympy" in sys.modules]
+                  for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_cli_solve_path_does_not_import_sympy():
+    # a fresh interpreter, since this one has sympy loaded already; each
+    # call must exit 0 with sympy still absent from sys.modules
+    ex1 = ["--ode", "(y')^2 - y^3 - y^2"]
+    cases = [["solve", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
+             ["solve", *ex1, "--at", "3, 6", "--order", "25", "--format", "json"],
+             ["solve", *ex1, "--at", "-1, 0", "--order", "4"],
+             ["direct", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
+             ["bound", *ex1]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, json.dumps(cases)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * len(cases)

@@ -100,6 +100,110 @@ def test_validate_univariate_in_z():
     assert exc.value.witness is not None  # z - sqrt(2)
 
 
+def _sympy_first_validate(B):
+    """validate_input in its former order, the oracle: sympy's
+    factorization over Q decides reducibility, and the Ruppert count
+    runs only on a Q-irreducible F."""
+    import sympy
+
+    if B.is_zero() or B.deg_z < 1:
+        raise NoDerivative("F must involve y'")
+    if B.deg_y <= 0 and B.deg_z == 1:
+        raise TrivialLinear("F is of the form y' - lambda")
+    if B.deg_y <= 0:
+        _, root = adjoin_root(QQ, UniPoly(univariate_slice(B, "z", 0).coeffs, "x"))
+        raise NotIrreducible("F factors over an algebraic extension",
+                             witness=BiPoly({(0, 1): F(1), (0, 0): -root}))
+    expr, y, z = _sympy_bipoly(B)
+    _, factors = sympy.factor_list(sympy.Poly(expr, y, z))
+    nontrivial = [(p, e) for p, e in factors if p.total_degree() > 0]
+    if len(nontrivial) > 1 or (nontrivial and nontrivial[0][1] > 1):
+        raise NotIrreducible("F is reducible over Q",
+                             witness=_from_sympy_expr(nontrivial[0][0].as_expr(), y, z))
+    r = ruppert_factor_count(B)
+    if r != 1:
+        raise NotIrreducible("F is irreducible over Q but splits into %d factors over "
+                             "the algebraic closure" % r, witness=None)
+    return B
+
+
+def _verdict(validate, B):
+    try:
+        return validate(B) == B
+    except NotIrreducible as exc:
+        return type(exc), str(exc), exc.witness
+    except (NoDerivative, TrivialLinear) as exc:
+        return type(exc), str(exc)
+
+
+def _random_curve(rng, degree=4, zdegree=3, height=5):
+    """perfbench's workloads.random_curve, built as a BiPoly: a dense
+    curve of total degree ``degree`` and degree ``zdegree`` in y'."""
+    return BiPoly({(i, d - i): F(rng.choice([k for k in range(-height, height + 1) if k]))
+                   for d in range(degree + 1) for i in range(d + 1) if d - i <= zdegree})
+
+
+# built cases: (curve, whether the squarefree guard holds, its Ruppert count)
+_G = BiPoly({(0, 2): F(1), (3, 0): F(-1), (2, 0): F(-1)})   # Ex1
+_H = BiPoly({(0, 1): F(1), (1, 0): F(-1)})                   # y' - y
+_GUARD_CASES = [
+    (_G, True, 1),
+    (_G * _H, True, 2),
+    (_G * _G, False, None),
+    (BiPoly({(1, 0): F(1), (0, 0): F(1)}) * _G, False, None),  # (y + 1) * G
+    (BiPoly({(0, 2): F(1), (2, 0): F(-2)}), True, 2),          # splits over Q(sqrt(2))
+    (BiPoly({(0, 2): F(1), (0, 0): F(1)}) * _G, True, 3),      # (y'^2 + 1) * G
+]
+
+
+def test_validate_matches_the_sympy_first_order():
+    rng = random.Random("validate:sympy-first")
+    curves = [case[0] for case in _GUARD_CASES]
+    curves += [BiPoly({(0, 2): F(1), (0, 0): F(-2)}), BiPoly({(0, 3): F(1), (0, 0): F(-1)}),
+               BiPoly({(0, 1): F(3), (0, 0): F(-5)}), BiPoly({(2, 0): F(1)})]  # deg_y <= 0
+    curves += [_random_curve(rng) for _ in range(8)]
+    curves += [_random_curve(rng, 2, 1) * _random_curve(rng, 2, 2) for _ in range(4)]
+    curves += [_random_curve(rng, 2, 1) ** 2 for _ in range(2)]
+    curves += [_random_curve(rng, 1, 0) * _random_curve(rng, 3, 2) for _ in range(2)]
+    seen = set()
+    for B in curves:
+        want = _verdict(_sympy_first_validate, B)
+        assert _verdict(validate_input, B) == want, B.render()
+        seen.add(want is True or want[1])
+    assert seen == {True, "F is reducible over Q", "F is irreducible over Q but splits into "
+                    "2 factors over the algebraic closure", "F factors over an algebraic "
+                    "extension", "F is of the form y' - lambda", "F must involve y'"}
+
+
+def test_validate_reaches_each_verdict_through_the_guard(monkeypatch):
+    """A curve that passes the squarefree guard gets its Ruppert count
+    first, and only a count other than 1 goes on to sympy; a curve that
+    fails it goes to sympy first."""
+    from aodesolve import poly
+
+    calls = []
+    count, check = poly.ruppert_factor_count, poly._check_q_irreducible
+
+    def counting(B):
+        calls.append(("ruppert", count(B)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(poly, "ruppert_factor_count", counting)
+    monkeypatch.setattr(poly, "_check_q_irreducible",
+                        lambda B: calls.append(("sympy",)) or check(B))
+    for B, guarded, r in _GUARD_CASES:
+        calls.clear()
+        poly._validate_cached.cache_clear()
+        assert _verdict(validate_input, B) == _verdict(_sympy_first_validate, B)
+        if not guarded:
+            assert calls == [("sympy",)]
+        elif r == 1:
+            assert calls == [("ruppert", 1)]
+        else:
+            assert calls == [("ruppert", r), ("sympy",)]
+    poly._validate_cached.cache_clear()
+
+
 def test_ruppert_counts(ex1, ex2):
     assert ruppert_factor_count(ex1) == 1
     assert ruppert_factor_count(ex2) == 1
