@@ -526,18 +526,10 @@ def _validate_cached(F):
         witness = BiPoly({(0, 1): _F1, (0, 0): -root})
         raise NotIrreducible("F factors over an algebraic extension",
                              witness=witness)
-    # F with no y-content and disc_z(F) != 0 is squarefree, and the Ruppert
-    # count of a squarefree F is its number of absolutely irreducible
-    # factors: then a count of 1 proves F irreducible, over Q as well
-    squarefree = (_content_z(F).is_constant()
-                  and not resultant_z(F, F.diff_z()).is_zero())
-    r = ruppert_factor_count(F) if squarefree else None
-    if r == 1:
-        return F
-    _check_q_irreducible(F)
-    if r is None:
-        r = ruppert_factor_count(F)
+    # the count is 1 only for a squarefree, absolutely irreducible F
+    r = ruppert_factor_count(F)
     if r != 1:
+        _check_q_irreducible(F)
         raise NotIrreducible(
             "F is irreducible over Q but splits into %d factors over the "
             "algebraic closure" % r, witness=None)
@@ -577,7 +569,9 @@ def ruppert_factor_count(F):
         F * (dG/dz - dH/dy) = G * dF/dz - H * dF/dy
 
     with deg_y G <= m-1, deg_z G <= n, deg_y H <= m, deg_z H <= n-1.
-    The solution space has dimension equal to the factor count.
+    The solution space has dimension equal to the factor count.  For any
+    F it is at least 2 unless F is squarefree and absolutely irreducible:
+    F*df/f solves it for each factor f, and F*d(1/f) too when f^2 | F.
     """
     m, n = F.deg_y, F.deg_z
     g_idx = [(i, j) for i in range(m) for j in range(n + 1)]

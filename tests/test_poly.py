@@ -143,22 +143,22 @@ def _random_curve(rng, degree=4, zdegree=3, height=5):
                    for d in range(degree + 1) for i in range(d + 1) if d - i <= zdegree})
 
 
-# built cases: (curve, whether the squarefree guard holds, its Ruppert count)
+# built cases: Ex1, then curves that are reducible over Q or over Q-bar
 _G = BiPoly({(0, 2): F(1), (3, 0): F(-1), (2, 0): F(-1)})   # Ex1
 _H = BiPoly({(0, 1): F(1), (1, 0): F(-1)})                   # y' - y
-_GUARD_CASES = [
-    (_G, True, 1),
-    (_G * _H, True, 2),
-    (_G * _G, False, None),
-    (BiPoly({(1, 0): F(1), (0, 0): F(1)}) * _G, False, None),  # (y + 1) * G
-    (BiPoly({(0, 2): F(1), (2, 0): F(-2)}), True, 2),          # splits over Q(sqrt(2))
-    (BiPoly({(0, 2): F(1), (0, 0): F(1)}) * _G, True, 3),      # (y'^2 + 1) * G
+_BUILT = [
+    _G,
+    _G * _H,
+    _G * _G,
+    BiPoly({(1, 0): F(1), (0, 0): F(1)}) * _G,   # (y + 1) * G
+    BiPoly({(0, 2): F(1), (2, 0): F(-2)}),       # splits over Q(sqrt(2))
+    BiPoly({(0, 2): F(1), (0, 0): F(1)}) * _G,   # (y'^2 + 1) * G
 ]
 
 
 def test_validate_matches_the_sympy_first_order():
     rng = random.Random("validate:sympy-first")
-    curves = [case[0] for case in _GUARD_CASES]
+    curves = list(_BUILT)
     curves += [BiPoly({(0, 2): F(1), (0, 0): F(-2)}), BiPoly({(0, 3): F(1), (0, 0): F(-1)}),
                BiPoly({(0, 1): F(3), (0, 0): F(-5)}), BiPoly({(2, 0): F(1)})]  # deg_y <= 0
     curves += [_random_curve(rng) for _ in range(8)]
@@ -175,33 +175,20 @@ def test_validate_matches_the_sympy_first_order():
                     "extension", "F is of the form y' - lambda", "F must involve y'"}
 
 
-def test_validate_reaches_each_verdict_through_the_guard(monkeypatch):
-    """A curve that passes the squarefree guard gets its Ruppert count
-    first, and only a count other than 1 goes on to sympy; a curve that
-    fails it goes to sympy first."""
+def test_validate_accepts_ex1_without_sympy_and_rejects_by_the_count(monkeypatch):
+    """A Ruppert count of 1 accepts with no sympy call; every built curve
+    that splits over Q or Q-bar, squares and y-content included, has a
+    count of at least 2."""
     from aodesolve import poly
 
-    calls = []
-    count, check = poly.ruppert_factor_count, poly._check_q_irreducible
+    def no_sympy(B):
+        raise AssertionError("sympy factorization on an accepted curve")
 
-    def counting(B):
-        calls.append(("ruppert", count(B)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(poly, "ruppert_factor_count", counting)
-    monkeypatch.setattr(poly, "_check_q_irreducible",
-                        lambda B: calls.append(("sympy",)) or check(B))
-    for B, guarded, r in _GUARD_CASES:
-        calls.clear()
-        poly._validate_cached.cache_clear()
-        assert _verdict(validate_input, B) == _verdict(_sympy_first_validate, B)
-        if not guarded:
-            assert calls == [("sympy",)]
-        elif r == 1:
-            assert calls == [("ruppert", 1)]
-        else:
-            assert calls == [("ruppert", r), ("sympy",)]
+    monkeypatch.setattr(poly, "_check_q_irreducible", no_sympy)
     poly._validate_cached.cache_clear()
+    assert validate_input(_G) == _G
+    poly._validate_cached.cache_clear()
+    assert [ruppert_factor_count(B) for B in _BUILT] == [1, 2, 12, 2, 2, 3]
 
 
 def test_ruppert_counts(ex1, ex2):
