@@ -78,12 +78,17 @@ def _factor_small(p):
 
 def factor_over_tower(p, tower):
     """Monic irreducible factorization of a nonconstant polynomial whose
-    coefficients lie in the given tower; [(factor, multiplicity)]."""
+    coefficients lie in the given tower; [(factor, multiplicity)].  Over
+    Q it is factor_q; a linear p is its own factor, its coefficients
+    lifted into the tower; only degree >= 2 over a tower of height >= 1
+    goes through Trager's norm."""
     p = p.monic()
     if p.degree < 1:
         return []
     if tower.height == 0:
         return factor_q(_rationalize(p))
+    if p.degree == 1:
+        return [(UniPoly([lift(c, tower) for c in p.coeffs], p.var), 1)]
     out = []
     for g, m in squarefree_decomposition(p):
         for h in _trager_irreducible(g, tower):

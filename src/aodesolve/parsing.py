@@ -131,8 +131,6 @@ class _PolyParser:
                 raise ParseError("y' not allowed here", position=pos)
             return self.variable("z")
         if kind == "var":
-            if val == "z" and "z" in self.allowed:
-                return self.variable("z")
             if val in self.allowed:
                 return self.variable(val)
             raise ParseError("unknown identifier %r" % val, position=pos)
@@ -146,21 +144,14 @@ class _PolyParser:
         return BiPoly({(0, 0): q})
 
     def variable(self, name):
-        return BiPoly.variable("y" if name == "y" else "z")
+        # x, the one variable of a root() polynomial, is stored on the y-axis
+        return BiPoly.variable("z" if name == "z" else "y")
 
 
 def parse_polynomial(text):
     """Parse an ODE polynomial F(y, y')."""
     tokens = _Tokens(text)
     return _PolyParser(tokens).parse()
-
-
-class _UniParser(_PolyParser):
-    def __init__(self, tokens):
-        super().__init__(tokens, allowed=("x",))
-
-    def variable(self, name):
-        return BiPoly.variable("y")  # single variable, stored on the y-axis
 
 
 class _ScalarParser(_PolyParser):
@@ -191,7 +182,7 @@ class _ScalarParser(_PolyParser):
                                                        cap=self.cap)
                 return lift(root, self.tower)
             # root(<poly in x>, <index>)
-            sub = _UniParser(self.t)
+            sub = _PolyParser(self.t, allowed=("x",))
             polybi = sub.expr()
             self.t.expect_op(",")
             k, idx, pos2 = self.t.next()

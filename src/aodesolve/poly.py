@@ -10,7 +10,7 @@ operator overloads on AlgebraicNumber.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
@@ -119,16 +119,6 @@ def uni_gcd(f, g):
     if a.is_zero():
         return a
     return a.monic()
-
-
-def squarefree_part(f):
-    d = f.derivative()
-    if d.is_zero():
-        return f.monic()
-    g = uni_gcd(f, d)
-    if g.is_constant():
-        return f.monic()
-    return f.exact_div(g).monic()
 
 
 def squarefree_decomposition(f):
@@ -388,35 +378,20 @@ def resultant_z(F, G):
 
 
 def _content_z(F):
-    """gcd over K[y] of the z-coefficients."""
-    g = UniPoly([], "y")
-    for cy in F.coeffs:
-        if cy.is_zero():
-            continue
-        g = cy.monic() if g.is_zero() else uni_gcd(g, cy)
-        if g.is_constant():
-            break
-    return g
+    """gcd over K[y] of the z-coefficients; 0 for the zero F."""
+    return reduce(uni_gcd, F.coeffs, UniPoly([], "y"))
 
 
 def _shared_factor(F, G):
     """(whether F and G share a nonconstant factor, Res_z(F, G) when the
-    test needed it, else None)."""
-    if F.is_zero() or G.is_zero():
-        other = G if F.is_zero() else F
-        return other.total_degree() > 0 or other.is_zero(), None
-    if F.total_degree() == 0 or G.total_degree() == 0:
+    test needed it, else None).  A shared factor free of z divides both
+    z-contents; any other one makes Res_z(F, G) vanish.  The resultant is
+    skipped when F or G is a nonzero polynomial free of z: then the
+    content test alone decides."""
+    if not uni_gcd(_content_z(F), _content_z(G)).is_constant():
+        return True, None
+    if F.deg_z == 0 or G.deg_z == 0:
         return False, None
-    if F.deg_z == 0 and G.deg_z == 0:
-        return not uni_gcd(F.coeffs[0], G.coeffs[0]).is_constant(), None
-    if F.deg_z == 0:
-        return not uni_gcd(F.coeffs[0], _content_z(G)).is_constant(), None
-    if G.deg_z == 0:
-        return not uni_gcd(G.coeffs[0], _content_z(F)).is_constant(), None
-    cf, cg = _content_z(F), _content_z(G)
-    if not cf.is_constant() and not cg.is_constant():
-        if not uni_gcd(cf, cg).is_constant():
-            return True, None
     ry = resultant_z(F, G)
     return ry.is_zero(), ry
 
@@ -460,9 +435,12 @@ class Point:
 def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     """All common affine zeros of F and G over the algebraic closure.
 
-    Resultant in each variable plus exact back-substitution; every
-    coordinate lives in a (possibly extended) tower.  Deterministic
-    order by numeric enclosures.
+    A common factor is found by one content test plus Res_z(F, G) (see
+    _shared_factor).  The y-coordinates are the roots of Res_z(F, G), or
+    of the z^0 column of an input free of z; each z-coordinate is a root
+    of the gcd of the two slices at y0, and a constant resultant or gcd
+    has no roots.  Every coordinate lives in a (possibly extended)
+    tower.  Deterministic order by numeric enclosures.
     """
     from . import factor
 
@@ -471,30 +449,17 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
         raise CommonComponent("system has a common nonconstant factor")
     if G.is_zero():
         raise CommonComponent("zero polynomial shares every component")
-    if G.deg_y <= 0 and G.deg_z <= 0:
-        return []
-    if F.deg_y <= 0 and F.deg_z <= 0:
-        return []
-
     if ry is None:
         # one input free of z: its z^0 column gives the y-coordinates
         ry = F.coeffs[0] if F.deg_z == 0 else G.coeffs[0]
     points = []
     for y0, _m in factor.all_roots(ry, QQ, cap):
-        t = y0.tower
         fz = univariate_slice(F, "z", y0)
         gz = univariate_slice(G, "z", y0)
         if fz.is_zero() and gz.is_zero():
             raise CommonComponent("vertical line is a common component")
-        if fz.is_zero():
-            h = squarefree_part(gz)
-        elif gz.is_zero():
-            h = squarefree_part(fz)
-        else:
-            h = uni_gcd(fz, gz)
-        if h.is_constant():
-            continue
-        for z0, _m2 in factor.all_roots(h, t, cap):
+        # a zero slice leaves the other one made monic; roots come once each
+        for z0, _m2 in factor.all_roots(uni_gcd(fz, gz), y0.tower, cap):
             points.append(Point(lift(y0, z0.tower), z0))
     points.sort(key=lambda p: p.sort_key())
     return points

@@ -146,11 +146,10 @@ def test_paper_cases_match_golden():
 
 
 def test_solve_cases_match_golden():
-    """The pinned solve inputs at rational points, (c, +-c*sqrt(c + 1))
-    for c in 3, 8, 15, print their golden JSON, so a change in how
-    solve_at picks its orders fails here before the benchmark runs."""
-    _assert_golden(lambda case: case["argv"][0] == "solve"
-                   and case["argv"][4].split(",")[0] in ("3", "8", "15"))
+    """Every pinned solve input (Ex1 at (c, +-c*sqrt(c + 1)), rational or
+    over Q(sqrt(d))) prints its golden JSON, so a change in how solve_at
+    picks its orders fails here before the benchmark runs."""
+    _assert_golden(lambda case: case["argv"][0] == "solve")
 
 
 def test_classify_cases_match_golden():
@@ -164,3 +163,10 @@ def test_places_cases_match_golden():
     golden JSON, so every tail built through a place's recipe is checked
     byte for byte."""
     _assert_golden(lambda case: case["argv"][0] == "places")
+
+
+def test_critical_cases_match_golden():
+    """Every pinned critical input (the 12 random pool curves) prints its
+    golden JSON, so the critical set, its towers and its order are
+    checked byte for byte."""
+    _assert_golden(lambda case: case["argv"][0] == "critical")

@@ -1,10 +1,21 @@
-"""factor_q below degree 3 against sympy's factorization over Q."""
+"""factor_q below degree 3 against sympy's factorization over Q, and
+the linear base case of factor_over_tower against Trager's path."""
 
+import json
+import os
 import random
 from fractions import Fraction as F
 
-from aodesolve.factor import factor_q
+import pytest
+
+from aodesolve import factor
+from aodesolve.factor import adjoin_root, factor_over_tower, factor_q
+from aodesolve.numbers import QQ, lift
+from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import UniPoly
+from aodesolve.solver import critical_set
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _sympy_factor_q(coeffs):
@@ -95,3 +106,65 @@ def test_factor_q_below_degree_3_matches_sympy():
 def test_factor_q_of_a_constant_is_empty():
     assert factor_q(UniPoly([F(3)])) == []
     assert factor_q(UniPoly([])) == []
+
+
+def _towers():
+    """Q(sqrt(2)), Q(2^(1/4)) and Q(sqrt(2))(sqrt(3)), each with the
+    elements of its Q-basis other than 1."""
+    t2, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"))
+    t4, r4 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(0), F(0), F(1)], "x"))
+    t23, r3 = adjoin_root(t2, UniPoly([F(-3), F(0), F(1)], "x"))
+    return [(t2, [r2]), (t4, [r4, r4 * r4, r4 * r4 * r4]), (t23, [r2, r3, r2 * r3])]
+
+
+def _linear_cases():
+    """Seeded a x + b over each tower: coefficients with every basis
+    element, rational ones and ones from a lower level."""
+    rng = random.Random("factor_over_tower:linear")
+    for tower, basis in _towers():
+        def element():
+            return _rational(rng) + sum(_rational(rng) * g for g in basis)
+        for k in range(12):
+            a = element() if k % 3 else _nonzero(rng)
+            if a == 0:
+                a = basis[0]
+            b = element() if k % 4 else (_rational(rng) if k % 8 else basis[0])
+            yield tower, UniPoly([b, a], "w")
+
+
+def test_linear_factor_needs_no_norm(monkeypatch):
+    """A linear polynomial over a tower is its own irreducible factor:
+    factor_over_tower returns it made monic with no Trager norm, equal in
+    its JSON to what the norm path gives (which may leave a monic 1 as a
+    rational, so that side is lifted into the tower too)."""
+    cases = list(_linear_cases())
+    want = [[lift(c, tower).to_json() for c in factor._trager_irreducible(p.monic(), tower)[0].coeffs]
+            for tower, p in cases]
+
+    def no_norm(p, tower):
+        pytest.fail("a linear factor needs no norm")
+
+    monkeypatch.setattr(factor, "_norm", no_norm)
+    for (tower, p), coeffs in zip(cases, want):
+        got = factor_over_tower(p, tower)
+        assert len(got) == 1 and got[0][1] == 1 and got[0][0].var == "w"
+        assert [c.to_json() for c in got[0][0].coeffs] == coeffs, p
+
+
+def test_critical_set_of_a_pool_curve_takes_no_norm(monkeypatch):
+    """On the first pinned critical input every gcd z - z0 at a conjugate
+    y0 is linear, and a linear factor needs no Trager norm, so the whole
+    critical set is found without one."""
+    with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
+        argv = next(case["argv"] for case in json.load(fh) if case["argv"][0] == "critical")
+    ode = parse_polynomial(argv[argv.index("--ode") + 1])
+    calls = []
+    real = factor._norm
+
+    def counted(p, tower):
+        calls.append(tower.height)
+        return real(p, tower)
+
+    monkeypatch.setattr(factor, "_norm", counted)
+    assert len(critical_set(ode)) > 0
+    assert calls == []

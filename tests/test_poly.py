@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction as F
 
@@ -378,6 +379,62 @@ def test_solve_system_computes_the_resultant_once(ex2, monkeypatch):
     monkeypatch.setattr(poly, "resultant_lists", counted)
     assert len(solve_system(ex2, separant(ex2))) > 0
     assert calls == ["y"]
+
+
+def _solve_system_table():
+    """(F, G, verdict): the CommonComponent message, or the points as
+    complex (y, z) pairs in the solver's order."""
+    y, z = BiPoly.variable("y"), BiPoly.variable("z")
+    one = BiPoly({(0, 0): F(1)})
+    zero = 0 * one
+    shared = "system has a common nonconstant factor"
+    r2, r4 = 2 ** 0.5, 2 ** 0.25
+    w = [cmath.exp(2j * cmath.pi * k / 5) for k in (3, 2, 4, 1)]  # 5th roots of 1
+    return [
+        # zero and constant inputs
+        (zero, 3 * one, []),
+        (3 * one, zero, "zero polynomial shares every component"),
+        (zero, zero, shared),
+        (zero, z - y, shared),
+        (zero, y - 1, shared),
+        (3 * one, 5 * one, []),
+        (3 * one, z - y, []),
+        (z - y, 3 * one, []),
+        # a shared y-content, on one side free of z or on both
+        (y - 1, z * (y - 1), shared),
+        (z * (y - 1), y - 1, shared),
+        ((y - 1) * z, (y - 1) * (z + 1), shared),
+        (y - 1, y - 1, shared),
+        (y - 1, y + 1, []),
+        (y - 1, z - y, [(1, 1)]),
+        (z - y, y - 1, [(1, 1)]),
+        # a zero slice: F vanishes on y = 1, so G's slice there decides
+        ((y - 1) * (z - 1), (y - 1) * z + z * z, [(0, 1), (1, 0)]),
+        (y * y - 2, z * z - y, [(-r2, -1j * r4), (-r2, 1j * r4), (r2, -r4), (r2, r4)]),
+        (z * z - 2, y, [(0, -r2), (0, r2)]),
+        (z * z, y, [(0, 0)]),  # a double root of the slice comes once
+        (y * z - 1, y, []),    # a constant gcd of the slices
+        (z * z - y, y * y * z - 1, [(v, v ** -2) for v in w] + [(1, 1)]),
+    ]
+
+
+def test_solve_system_edge_inputs():
+    """Zero and constant inputs, shared y-contents and zero slices give
+    the pinned verdicts: no point, the CommonComponent message, or the
+    listed points in order."""
+    for Fp, Gp, want in _solve_system_table():
+        try:
+            pts = solve_system(Fp, Gp)
+        except CommonComponent as exc:
+            assert str(exc) == want, (Fp, Gp)
+            continue
+        assert isinstance(want, list), (Fp, Gp)
+        got = [(p.y.complex(), p.z.complex()) for p in pts]
+        assert len(got) == len(want), (Fp, Gp)
+        for (gy, gz), (wy, wz) in zip(got, want):
+            assert abs(gy - wy) < 1e-9 and abs(gz - wz) < 1e-9, (Fp, Gp)
+        for p in pts:
+            assert Fp.eval(p.y, p.z).is_zero() and Gp.eval(p.y, p.z).is_zero()
 
 
 def test_solve_system_bezout_bound_random():
