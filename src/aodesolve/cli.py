@@ -38,7 +38,7 @@ def _build_parser():
     for name, text, opts in (
             ("solve", "solutions at an initial tuple", ("at", "order", "cap")),
             ("direct", "separant recursion at a tuple", ("at", "order", "cap")),
-            ("classify", "partition initial tuples by solution count", ("cap", "jobs")),
+            ("classify", "partition initial tuples by solution count", ("cap",)),
             ("places", "places at every critical point", ("order", "cap")),
             ("critical", "the critical set", ("cap",)),
             ("constants", "constant solutions", ("cap",)),
@@ -56,9 +56,6 @@ def _build_parser():
             p.add_argument("--degree-cap", type=_at_least_one, default=DEFAULT_DEGREE_CAP,
                            help="maximum tower extension degree (default %d)"
                                 % DEFAULT_DEGREE_CAP)
-        if "jobs" in opts:
-            p.add_argument("--jobs", type=_at_least_one, default=1,
-                           help="parallel classification workers")
     return ap
 
 
@@ -126,7 +123,7 @@ def _run(args, out):
         return 0
 
     if args.command == "classify":
-        cl = classify(F, cap=cap, jobs=args.jobs)
+        cl = classify(F, cap=cap)
         if args.format == "json":
             _write_json(cl.to_json(), out)
         else:

@@ -8,9 +8,10 @@ order one solving
 
 and A(S) is the solution.  The Newton polygons alone fix the places at
 a point, their e and ord(B), so ``classify`` counts the order-suitable
-places of one pass at order 1, and ``solve_at`` extends the tails of
-that pass to the orders it decides.  Away from the critical set
-V(F, z) u V(F, S_F) the separant recursion gives the same series.
+places of one pass at order 1, once per Galois orbit of critical
+points, and ``solve_at`` extends the tails of that pass to the orders
+it decides.  Away from the critical set V(F, z) u V(F, S_F) the
+separant recursion gives the same series.
 """
 
 from fractions import Fraction
@@ -235,49 +236,50 @@ def critical_set(F, cap=_factor.DEFAULT_DEGREE_CAP):
     return CriticalSet(points)
 
 
-def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP, jobs=1):
+def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP):
     """Algorithm 2: bucket every critical point by its number of
     non-constant solutions, the number of order-suitable places
     centered there, read from the structural pass at order 1; all
     other curve points carry exactly one.
 
-    With jobs > 1 the critical points are processed in worker
-    processes; the merge order is fixed by the point order either way.
+    Conjugate points carry the same count, so the pass runs once per
+    Galois orbit (see _orbit_key), at the orbit's first point.
     """
     validate_input(F)
     crit = critical_set(F, cap)
     points = crit.plain_points()
-    args = [(F, p, cap) for p in points]
-    counts = _parallel_counts(args, jobs) if jobs > 1 and len(points) > 1 else None
-    if counts is None:
-        counts = list(map(_count_at, args))
+    counts = {}
     buckets = {}
     a1_extra = []
-    for p, count in zip(points, counts):
-        if count == 1:
+    for p in points:
+        key = _orbit_key(p)
+        if key not in counts:
+            counts[key] = sum(map(is_order_suitable, places_at(F, p, 1, cap=cap)))
+        if counts[key] == 1:
             a1_extra.append(p)
         else:
-            buckets.setdefault(count, []).append(p)
+            buckets.setdefault(counts[key], []).append(p)
     constants = [p.y for p, tags in crit if "on_z_axis" in tags]
     return Classification(buckets, points, a1_extra, constants)
 
 
-def _count_at(arg):
-    """The number of order-suitable places centered at a critical point,
-    read from the structural pass at order 1."""
-    F, p, cap = arg
-    return sum(map(is_order_suitable, places_at(F, p, 1, cap=cap)))
+def _orbit_key(p):
+    """The point as an element pair of an abstract field, free of its
+    embedding: the minimal polynomials of its tower's levels up to the
+    higher coordinate level, and (level, rep) of each coordinate.
 
-
-def _parallel_counts(args, jobs):
-    import concurrent.futures
-
-    workers = min(jobs, len(args))  # a pool forks all its workers up front
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_count_at, args))
-    except (OSError, ImportError):  # the pool could not start: run serially
-        return None
+    Every level's minpoly is irreducible over the levels below (each
+    Level comes from a factor_over_tower factor), so the minpolys define
+    one field K = Q[a1..ak]/(m1, m2, ...), and two points with one key
+    are the images of one pair in K under two embeddings sigma, tau.
+    tau o sigma^-1 extends to an element of Gal(Q-bar/Q), which maps the
+    places at one point onto the places at the other and keeps e, ord(B)
+    and whether the center lies on z = 0, since F has rational
+    coefficients: the two points carry the same count.
+    """
+    top = max(p.y.level, p.z.level)
+    levels = common_tower_of(p).levels[:top]
+    return (tuple(lev.minpoly for lev in levels), p.y.level, p.y.rep, p.z.level, p.z.rep)
 
 
 # ---------------------------------------------------------------------------

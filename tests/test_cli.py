@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from aodesolve.cli import main
+from aodesolve.cli import _build_parser, main
 from aodesolve.errors import ParseError
 from aodesolve.parsing import parse_initial_tuple, parse_polynomial
 from aodesolve.poly import BiPoly
@@ -171,8 +172,7 @@ def test_cli_degree_cap_applies_to_critical_and_constants():
 
 def test_cli_rejects_an_option_the_subcommand_does_not_read():
     with pytest.raises(SystemExit) as exc:
-        run_cli("solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "-1, 0",
-                "--jobs", "2")
+        run_cli("bound", "--ode", "(y')^2 - y^3 - y^2", "--order", "3")
     assert exc.value.code == 2
 
 
@@ -180,6 +180,31 @@ def test_cli_classify_has_no_order_option():
     with pytest.raises(SystemExit) as exc:
         run_cli("classify", "--order", "3", "--ode", "(y')^2 - y^3 - y^2")
     assert exc.value.code == 2
+
+
+def test_cli_classify_has_no_jobs_option():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("classify", "--jobs", "2", "--ode", "(y')^2 - y^3 - y^2")
+    assert exc.value.code == 2
+
+
+def test_cli_option_sets_are_pinned():
+    # a new option fails here, so the count of option slots stays in the tests
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                            if opt.startswith("--") and opt != "--help")
+               for name, p in sub.choices.items()}
+    assert options == {
+        "solve": ["--at", "--degree-cap", "--format", "--ode", "--order"],
+        "direct": ["--at", "--degree-cap", "--format", "--ode", "--order"],
+        "classify": ["--degree-cap", "--format", "--ode"],
+        "places": ["--degree-cap", "--format", "--ode", "--order"],
+        "critical": ["--degree-cap", "--format", "--ode"],
+        "constants": ["--degree-cap", "--format", "--ode"],
+        "bound": ["--format", "--ode"],
+    }
+    assert sum(map(len, options.values())) == 25
 
 
 def test_cli_json_solve_round_trip():
@@ -217,8 +242,8 @@ def test_cli_places():
 
 
 @pytest.mark.parametrize("argv", [
-    ("classify", "--jobs", "-3"),
-    ("classify", "--jobs", "0"),
+    ("classify", "--degree-cap", "-3"),
+    ("classify", "--degree-cap", "0"),
     ("critical", "--degree-cap", "-5"),
     ("constants", "--degree-cap", "0"),
     ("places", "--order", "0"),

@@ -1,6 +1,4 @@
 import io
-import multiprocessing
-import os
 import random
 from fractions import Fraction as F
 
@@ -320,30 +318,6 @@ def test_main_theorem_iff(ex1, ex2):
                     reparametrize(p, 6)
 
 
-def test_parallel_classify_matches(ex1):
-    seq = classify(ex1)
-    par = classify(ex1, jobs=2)
-    assert set(seq.buckets) == set(par.buckets)
-    for k in seq.buckets:
-        assert len(seq.buckets[k]) == len(par.buckets[k])
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched probe")
-def test_parallel_classify_raises_worker_faults(ex1, monkeypatch):
-    # a fault inside a worker is not a reason to fall back to serial
-    parent, real = os.getpid(), solver.places_at
-
-    def probe(*args, **kwargs):
-        if os.getpid() != parent:
-            raise TypeError("fault inside a worker")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "places_at", probe)
-    with pytest.raises(TypeError):
-        classify(ex1, jobs=2)
-
-
 def _structure(places):
     """The place structure in place_id order; solve takes its ids from
     the order-1 sort."""
@@ -387,8 +361,11 @@ def test_each_critical_point_is_translated_once(ex2, monkeypatch):
     monkeypatch.setattr(puiseux, "translate", counting)
     monkeypatch.setattr(poly, "multiplicity_at", refuse)
     assert "multiplicity_at" not in vars(solver)
+    # the 11 critical points of Ex2 fall into 3 Galois orbits (1 + 4 + 6),
+    # and classify reads one point of each
     cls = classify(ex2)
-    assert len(calls) == len(cls.complement_of) == 11
+    assert len(cls.complement_of) == 11
+    assert len(calls) == 3
     del calls[:]
     assert len(solve_at(ex2, (F(0), F(1)), 4)) == 2
     assert len(calls) == 1
@@ -397,6 +374,11 @@ def test_each_critical_point_is_translated_once(ex2, monkeypatch):
     assert cli.main(["solve", "--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2",
                      "--at", "0, 1"], out=io.StringIO()) == 0
     assert len(calls) == 1
+
+
+def test_classify_takes_no_jobs_keyword(ex1):
+    with pytest.raises(TypeError):
+        classify(ex1, jobs=2)
 
 
 def test_degree_cap_reaches_cross_tower_lifting(ex1):
@@ -452,31 +434,6 @@ def test_solve_at_extends_the_places_of_one_pass_at_order_1(monkeypatch):
     monkeypatch.setattr(solver, "places_at", counting)
     assert [s.to_json() for s in solve_at(Fp, (F(0), F(0)), 25)] == want
     assert calls == [1]
-
-
-def test_classify_starts_no_more_workers_than_critical_points(ex1, monkeypatch):
-    # a process pool forks all of its workers up front, so --jobs beyond
-    # the number of points must not reach it; the stand-in starts none
-    import concurrent.futures
-
-    sizes = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    assert len(classify(ex1, jobs=5000).complement_of) == 2
-    assert sizes == [2]
 
 
 def test_solve_at_raises_when_solutions_never_separate(ex1, monkeypatch):
