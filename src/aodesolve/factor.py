@@ -1,16 +1,19 @@
 """Univariate factorization over extension towers and root adjunction.
 
-Factorization over Q is in-house up to degree 2 (a quadratic splits iff
-its discriminant is a rational square) and delegated to sympy above (a
-complete procedure); factorization over a tower level reduces to the
-level below by Trager's norm construction, with the norm computed as a
-resultant via the subresultant PRS.  Roots found over the algebraic
-closure are pinned to individual complex embeddings by isolating boxes,
-so conjugates come back as distinct values in distinct towers.
+Factorization over Q is in-house: a quadratic splits iff its
+discriminant is a rational square; from degree 3 each squarefree part
+is factored over Z by Zassenhaus (mod-p factoring, Hensel lifting,
+recombination by trial division).  Factorization over a tower level
+reduces to the level below by Trager's norm, computed as a resultant
+via the subresultant PRS.  Roots found over the algebraic closure are
+pinned to individual complex embeddings by isolating boxes, so
+conjugates come back as distinct values in distinct towers.
 """
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations, count, zip_longest
 
 from .errors import ExtensionLimitExceeded
 from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
@@ -34,26 +37,13 @@ def _factor_key(fm):
 
 def factor_q(p):
     """Monic irreducible factorization over Q, [(factor, multiplicity)]
-    sorted by degree and then by coefficients: in-house below degree 3,
-    by sympy from there."""
+    sorted by degree, then by coefficients (numerically, then exactly);
+    from degree 3 by Zassenhaus on each squarefree part."""
     if p.degree <= 2:
         return _factor_small(p)
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Integer(0)
-    for k, c in enumerate(p.coeffs):
-        q = rational(c)
-        expr += sympy.Rational(q.numerator, q.denominator) * x**k
-    _, factors = sympy.factor_list(sympy.Poly(expr, x))
-    out = []
-    for f, m in factors:
-        coeffs = [Fraction(0)] * (f.degree() + 1)
-        for (k,), c in sympy.Poly(f, x).terms():
-            coeffs[int(k)] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        out.append((UniPoly(coeffs, p.var).monic(), m))
-    out.sort(key=_factor_key)
-    return out
+    out = [(UniPoly([Fraction(c, f[-1]) for c in f], p.var), m)
+           for g, m in squarefree_decomposition(p) for f in _zassenhaus(g.coeffs)]
+    return sorted(out, key=lambda fm: (_factor_key(fm), fm[0].coeffs))
 
 
 def _factor_small(p):
@@ -74,6 +64,166 @@ def _factor_small(p):
     s = Fraction(num, den)
     return sorted([(UniPoly([(b + s) / 2, _F1], p.var), 1),
                    (UniPoly([(b - s) / 2, _F1], p.var), 1)], key=_factor_key)
+
+
+# Zassenhaus over Z.  A polynomial is an ascending int list, reduced
+# mod m and without trailing zeros where an m is passed.
+
+
+def _red(a, m):
+    a = [c % m for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(a, b, m, sign=1):
+    return _red([x + sign * y for x, y in zip_longest(a, b, fillvalue=0)], m)
+
+
+def _pmul(m, a, *bs):
+    for b in bs:
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        a = _red(out, m)
+    return a
+
+
+def _pdivmod(a, b, m):
+    """(quotient, remainder) of a by b mod m, lc(b) a unit mod m."""
+    r, db, u = list(a), len(b) - 1, pow(b[-1], -1, m)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] * u % m
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    return q, _red(r[:db], m)
+
+
+def _pgcd(a, b, p):
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmul(p, [pow(a[-1], -1, p)], a)  # made monic
+
+
+def _ppow(a, e, f, p):
+    """a^e mod (f, p), for deg a < deg f."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pdivmod(_pmul(p, out, out), f, p)[1]
+        if bit == "1":
+            out = _pdivmod(_pmul(p, out, a), f, p)[1]
+    return out
+
+
+def _pxgcd(a, b, p):
+    """s, t with s*a + t*b = 1 mod p, deg s < deg b, deg t < deg a."""
+    r0, r1, s0, s1 = a, b, [1], []
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pmul(p, q, s1), p, -1)
+    s = _pmul(p, [pow(r0[0], -1, p)], s0)
+    return s, _pdivmod(_padd([1], _pmul(p, s, a), p, -1), b, p)[0]
+
+
+def _ddf(f, p):
+    """[(product of the factors of degree d, d)] of a squarefree monic f mod p."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppow(h, p, f, p)  # x^(p^d) mod f
+        g = _pgcd(f, _padd(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] if len(f) > 1 else out
+
+
+def _edf(f, d, p, rng):
+    """Cantor-Zassenhaus: a monic f mod p split into its factors of degree d."""
+    while len(f) - 1 > d:
+        a = [rng.randrange(p) for _ in range(len(f) - 1)]
+        g = _pgcd(f, _padd(_ppow(a, (p ** d - 1) // 2, f, p), [1], p, -1), p)
+        if 1 < len(g) < len(f):
+            return _edf(g, d, p, rng) + _edf(_pdivmod(f, g, p)[0], d, p, rng)
+    return [f]
+
+
+def _hensel(f, fs, p, M):
+    """Lifts to M = p^(2^j) of the coprime monic factors fs of f mod p:
+    two-factor Hensel steps (von zur Gathen & Gerhard, Alg. 15.10)."""
+    if len(fs) == 1:
+        return [_pmul(M, [pow(f[-1], -1, M)], f)]
+    k, m = len(fs) // 2, p
+    g, h = _pmul(p, [f[-1]], *fs[:k]), _pmul(p, [1], *fs[k:])
+    s, t = _pxgcd(g, h, p)
+    while m < M:
+        m *= m
+        e = _padd(f, _pmul(m, g, h), m, -1)
+        q, r = _pdivmod(_pmul(m, s, e), h, m)
+        g, h = _padd(g, _padd(_pmul(m, t, e), _pmul(m, q, g), m), m), _padd(h, r, m)
+        b = _padd(_padd(_pmul(m, s, g), _pmul(m, t, h), m), [1], m, -1)
+        c, d = _pdivmod(_pmul(m, s, b), h, m)
+        s, t = _padd(s, d, m, -1), _padd(t, _padd(_pmul(m, t, b), _pmul(m, c, g), m), m, -1)
+    return _hensel(g, fs[:k], p, M) + _hensel(h, fs[k:], p, M)
+
+
+def _zdiv(a, b):
+    """a / b over Z, or None when b does not divide a."""
+    r, q = list(a), [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i], rem = divmod(r[i + len(b) - 1], b[-1])
+        if rem:
+            return None
+        for j, y in enumerate(b):
+            r[i + j] -= q[i] * y
+    return None if any(r) else q
+
+
+def _zassenhaus(f):
+    """The irreducible factors over Z, primitive with positive leading
+    coefficients, of a squarefree monic f over Q of degree >= 1."""
+    den = math.lcm(*(c.denominator for c in f))
+    f, best = [int(c * den) for c in f], []  # primitive, as f is monic
+    # of the first 5 primes p >= 3 that keep f squarefree of its degree,
+    # the one with the fewest factors mod p; one factor proves f irreducible
+    for p in count(3, 2):
+        if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)) or not f[-1] % p:
+            continue
+        fp = _pmul(p, [pow(f[-1], -1, p)], f)
+        if len(_pgcd(fp, _red([k * c for k, c in enumerate(fp)][1:], p), p)) > 1:
+            continue
+        ddf = _ddf(fp, p)
+        best.append((sum((len(g) - 1) // d for g, d in ddf), p, ddf))
+        if best[-1][0] == 1:
+            return [f]
+        if len(best) == 5:
+            break
+    # Mignotte: g | f has |g|_1 <= 2^deg(f) |f|_2, so lc(f) g / lc(g) has coefficients
+    # of size at most bound: the symmetric residue of lc(f) * its factors mod M > 2 bound
+    _, p, ddf = min(best)
+    bound, M = f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1), p
+    while M <= 2 * bound:
+        M *= M
+    rng = random.Random(0)
+    us = _hensel(f, [u for g, d in ddf for u in _edf(g, d, p, rng)], p, M)
+    out, s = [], 1
+    while 2 * s <= len(us):  # the subsets of the lifted factors, smallest first
+        for S in combinations(range(len(us)), s):
+            g = [c - M if 2 * c > M else c for c in _pmul(M, [f[-1]], *(us[i] for i in S))]
+            d = math.gcd(*g)
+            g = [c // d for c in g]
+            q = _zdiv(f, g)
+            if q is not None:
+                out.append(g)
+                f, us = q, [u for i, u in enumerate(us) if i not in S]
+                break
+        else:
+            s += 1
+    return out + [f]
 
 
 def factor_over_tower(p, tower):

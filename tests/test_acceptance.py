@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import sympy  # noqa: F401  (warm the factorization backend up front)
-
 from aodesolve.factor import adjoin_root, alg_eq, all_roots
 from aodesolve.numbers import QQ, AlgebraicNumber
 from aodesolve.poly import (BiPoly, UniPoly, multiplicity_at, separant,

@@ -315,18 +315,35 @@ print(json.dumps([[main(argv, out=io.StringIO(), err=io.StringIO()), "sympy" in 
 """
 
 
-def test_cli_solve_path_does_not_import_sympy():
-    # a fresh interpreter, since this one has sympy loaded already; each
-    # call must exit 0 with sympy still absent from sys.modules
-    ex1 = ["--ode", "(y')^2 - y^3 - y^2"]
-    cases = [["solve", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
-             ["solve", *ex1, "--at", "3, 6", "--order", "25", "--format", "json"],
-             ["solve", *ex1, "--at", "-1, 0", "--order", "4"],
-             ["direct", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
-             ["bound", *ex1]]
+def _assert_no_sympy(cases):
+    """Each call exits 0 in a fresh interpreter (this one has sympy loaded
+    already) with sympy still absent from sys.modules."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, json.dumps(cases)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * len(cases)
+
+
+def test_cli_solve_path_does_not_import_sympy():
+    ex1 = ["--ode", "(y')^2 - y^3 - y^2"]
+    cases = [["solve", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
+             ["solve", *ex1, "--at", "3, 6", "--order", "25", "--format", "json"],
+             ["solve", *ex1, "--at", "-1, 0", "--order", "4"],
+             ["direct", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
+             ["bound", *ex1]]
+    _assert_no_sympy(cases)
+
+
+def test_cli_accept_paths_do_not_import_sympy():
+    # factor_q factors every degree in-house, so places, classify and
+    # critical on accepted curves (Ex2 with a = 1, and pool curve 0 of
+    # perfbench/workloads.random_curve) run without sympy
+    ex2 = ["--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2"]
+    pool0 = ("-3 - 3*(y') - 2*y + 2*(y')^2 - 5*y*(y') - 1*y^2 + 5*(y')^3 - 4*y*(y')^2"
+             " - 4*y^2*(y') + 2*y^3 + 2*y*(y')^3 + 5*y^2*(y')^2 + 3*y^3*(y') - 1*y^4")
+    cases = [["places", *ex2, "--order", "6", "--format", "json"],
+             ["classify", *ex2, "--format", "json"],
+             ["critical", "--ode", pool0, "--format", "json"]]
+    _assert_no_sympy(cases)

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "aodesolve")
 
@@ -170,3 +172,51 @@ def test_critical_cases_match_golden():
     golden JSON, so the critical set, its towers and its order are
     checked byte for byte."""
     _assert_golden(lambda case: case["argv"][0] == "critical")
+
+
+# the only functions that may name sympy: the bivariate factorization
+# over Q that names a factor of a rejected F
+SYMPY_SCOPES = {"poly._check_q_irreducible", "poly._from_sympy"}
+
+
+def test_sympy_is_named_only_on_the_reject_path():
+    """Every line of the package that names sympy lies in one of the
+    SYMPY_SCOPES, so a new runtime use of sympy fails here."""
+    found = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path) as fh:
+            text = fh.read()
+        scopes = [(node.lineno, node.end_lineno, node.name)
+                  for node in ast.walk(ast.parse(text, path))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "sympy" in line.lower():
+                inner = [s for s in scopes if s[0] <= lineno <= s[1]]
+                found.add(name[:-3] + ("." + max(inner)[2] if inner else ""))
+    assert found == SYMPY_SCOPES
+
+
+def test_reducible_curve_still_rejects_with_a_witness():
+    """The reject path keeps naming a factor of F: (y' - y)(y' + y^2)
+    splits over Q, and the witness is a nonconstant proper divisor."""
+    import sympy
+
+    from aodesolve.errors import NotIrreducible
+    from aodesolve.parsing import parse_polynomial
+    from aodesolve.poly import validate_input
+
+    F = parse_polynomial("(y' - y)*(y' + y^2)")
+    with pytest.raises(NotIrreducible) as exc:
+        validate_input(F)
+    witness = exc.value.witness
+    y, z = sympy.symbols("y z")
+
+    def expr(B):
+        return sum(sympy.Rational(c.numerator, c.denominator) * y**i * z**j
+                   for (i, j), c in B.terms.items())
+
+    assert 0 < witness.total_degree() < F.total_degree()
+    assert sympy.div(expr(F), expr(witness), y, z)[1] == 0

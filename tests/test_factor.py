@@ -1,6 +1,10 @@
-"""factor_q below degree 3 against sympy's factorization over Q, and
-the linear base case of factor_over_tower against Trager's path."""
+"""factor_q against sympy's factorization over Q: the quadratics, and
+Zassenhaus from degree 3 on seeded products, Swinnerton-Dyer
+polynomials and the norms and resultants that classify and critical
+factor; and the linear base case of factor_over_tower against Trager's
+path."""
 
+import io
 import json
 import os
 import random
@@ -8,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from aodesolve import factor
+from aodesolve import cli, factor
 from aodesolve.factor import adjoin_root, factor_over_tower, factor_q
 from aodesolve.numbers import QQ, lift
 from aodesolve.parsing import parse_polynomial
@@ -106,6 +110,84 @@ def test_factor_q_below_degree_3_matches_sympy():
 def test_factor_q_of_a_constant_is_empty():
     assert factor_q(UniPoly([F(3)])) == []
     assert factor_q(UniPoly([])) == []
+
+
+# the pool curve 0 that critical_random draws, and Ex2 with a = 1
+POOL_0 = ("-3 - 3*(y') - 2*y + 2*(y')^2 - 5*y*(y') - 1*y^2 + 5*(y')^3 - 4*y*(y')^2"
+          " - 4*y^2*(y') + 2*y^3 + 2*y*(y')^3 + 5*y^2*(y')^2 + 3*y^3*(y') - 1*y^4")
+EX2 = "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2"
+
+
+def _mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _zassenhaus_cases():
+    """Seeded products and powers of random factors, degree 3 to 20:
+    integer ones, rational ones times a rational with content, and
+    integer ones times a power of x."""
+    rng = random.Random("factor_q:zassenhaus")
+    cases = []
+    for k in range(60):
+        deg, p = rng.randint(3, 20), [F(1)]
+        shift = rng.randint(1, min(3, deg - 1)) if k % 3 == 2 else 0
+        deg -= shift
+        while len(p) - 1 < deg:
+            d = rng.randint(1, min(5, deg - len(p) + 1))
+            den = rng.randint(1, 4) if k % 3 == 1 else 1
+            g = [F(rng.randint(-9, 9), den) for _ in range(d)] + [F(rng.choice([1, -1, 2, 3, 6]))]
+            for _ in range(min(rng.choice([1, 1, 2, 3]), (deg - len(p) + 1) // d)):
+                p = _mul(p, g)
+        if k % 3 == 1:
+            p = [c * F(rng.choice([-6, 10, 35]), rng.randint(1, 9)) for c in p]
+        cases.append([F(0)] * shift + p)
+    return cases
+
+
+def _swinnerton_dyer(primes):
+    """The minimal polynomial of the sum of the square roots of the
+    primes, which splits into factors of degree <= 2 mod every prime."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    p = x
+    for q in primes:
+        p = sympy.resultant(p.subs(x, x - y), y ** 2 - q, y)
+    return [F(int(c)) for c in reversed(sympy.Poly(p, x).all_coeffs())]
+
+
+def test_factor_q_matches_sympy_from_degree_3():
+    cases = _zassenhaus_cases() + [_swinnerton_dyer(ps) for ps in ([2, 3], [2, 3, 5], [2, 3, 5, 7])]
+    cases.append([F(-1)] + [F(0)] * 11 + [F(1)])  # x^12 - 1
+    assert {len(c) - 1 for c in cases} >= set(range(3, 21))
+    for coeffs in cases:
+        got = [(list(f.coeffs), m) for f, m in factor_q(UniPoly(coeffs))]
+        assert got == _sympy_factor_q(coeffs), coeffs
+
+
+def test_factor_q_matches_sympy_on_what_classify_and_critical_factor(monkeypatch):
+    """Every input of degree >= 3 that classify on Ex2 (a = 1) and
+    critical on pool curve 0 pass to factor_q: Trager norms and
+    resultants, of degrees up to 22."""
+    seen = {}
+    real = factor.factor_q
+
+    def recorded(p):
+        if p.degree >= 3:
+            seen[p.coeffs] = p
+        return real(p)
+
+    monkeypatch.setattr(factor, "factor_q", recorded)
+    for argv in (["classify", "--ode", EX2], ["critical", "--ode", POOL_0]):
+        assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    assert max(p.degree for p in seen.values()) >= 20
+    for p in seen.values():
+        got = [(list(f.coeffs), m) for f, m in real(p)]
+        assert got == _sympy_factor_q(list(p.coeffs)), p
 
 
 def _towers():
