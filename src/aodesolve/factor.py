@@ -1,9 +1,9 @@
-"""Univariate factorization over extension towers and root adjunction.
+"""Factorization over Q and over extension towers, and root adjunction.
 
-Factorization over Q is in-house: a quadratic splits iff its
-discriminant is a rational square; from degree 3 each squarefree part
-is factored over Z by Zassenhaus (mod-p factoring, Hensel lifting,
-recombination by trial division).  Factorization over a tower level
+Factorization over Q is in-house: each squarefree part is factored over
+Z by Zassenhaus (mod-p factoring, Hensel lifting, recombination by trial
+division), and a bivariate F(y, z) by Kronecker's substitution into one
+variable, recombined by the same loop.  Factorization over a tower level
 reduces to the level below by Trager's norm, computed as a resultant
 via the subresultant PRS.  Roots found over the algebraic closure are
 pinned to individual complex embeddings by isolating boxes, so
@@ -12,13 +12,14 @@ conjugates come back as distinct values in distinct towers.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, zip_longest
 
 from .errors import ExtensionLimitExceeded
 from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
                       common_tower, isolate_roots, level_box, lift, rational, rep_lift)
-from .poly import UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
+from .poly import BiPoly, UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
 
 _F1 = Fraction(1)
 
@@ -37,33 +38,11 @@ def _factor_key(fm):
 
 def factor_q(p):
     """Monic irreducible factorization over Q, [(factor, multiplicity)]
-    sorted by degree, then by coefficients (numerically, then exactly);
-    from degree 3 by Zassenhaus on each squarefree part."""
-    if p.degree <= 2:
-        return _factor_small(p)
+    sorted by degree, then by coefficients (numerically, then exactly):
+    Zassenhaus on each squarefree part, at every degree."""
     out = [(UniPoly([Fraction(c, f[-1]) for c in f], p.var), m)
            for g, m in squarefree_decomposition(p) for f in _zassenhaus(g.coeffs)]
     return sorted(out, key=lambda fm: (_factor_key(fm), fm[0].coeffs))
-
-
-def _factor_small(p):
-    """factor_q below degree 3.  A monic quadratic x^2 + bx + c splits
-    over Q iff its discriminant b^2 - 4c is the square of a rational, so
-    iff the numerator and the denominator of the reduced fraction are
-    both squares."""
-    if p.degree < 2:
-        return [(p.monic(), 1)] if p.degree == 1 else []
-    p = p.monic()
-    c, b, _ = p.coeffs
-    disc = b * b - 4 * c
-    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
-    if num * num != disc.numerator or den * den != disc.denominator:
-        return [(p, 1)]
-    if not num:
-        return [(UniPoly([b / 2, _F1], p.var), 2)]
-    s = Fraction(num, den)
-    return sorted([(UniPoly([(b + s) / 2, _F1], p.var), 1),
-                   (UniPoly([(b - s) / 2, _F1], p.var), 1)], key=_factor_key)
 
 
 # Zassenhaus over Z.  A polynomial is an ascending int list, reduced
@@ -210,20 +189,64 @@ def _zassenhaus(f):
         M *= M
     rng = random.Random(0)
     us = _hensel(f, [u for g, d in ddf for u in _edf(g, d, p, rng)], p, M)
+
+    def split(f, chosen, _):
+        g = [c - M if 2 * c > M else c for c in _pmul(M, [f[-1]], *chosen)]
+        d = math.gcd(*g)
+        g = [c // d for c in g]
+        q = _zdiv(f, g)
+        return q and (g, q)
+
+    return _recombine(f, us, split)
+
+
+def _recombine(f, pieces, split):
+    """The factors of f made by products of subsets of its pieces, the
+    smallest subsets first and none over half the pieces (the complement
+    comes first); split(f, chosen, rest) is (factor, cofactor) or None."""
     out, s = [], 1
-    while 2 * s <= len(us):  # the subsets of the lifted factors, smallest first
-        for S in combinations(range(len(us)), s):
-            g = [c - M if 2 * c > M else c for c in _pmul(M, [f[-1]], *(us[i] for i in S))]
-            d = math.gcd(*g)
-            g = [c // d for c in g]
-            q = _zdiv(f, g)
-            if q is not None:
+    while 2 * s <= len(pieces):
+        for S in combinations(range(len(pieces)), s):
+            rest = [u for i, u in enumerate(pieces) if i not in S]
+            found = split(f, [pieces[i] for i in S], rest)
+            if found:
+                (g, f), pieces = found, rest
                 out.append(g)
-                f, us = q, [u for i, u in enumerate(us) if i not in S]
                 break
         else:
             s += 1
     return out + [f]
+
+
+def factor_bivariate_q(F):
+    """Irreducible factorization over Q of a nonconstant F(y, z) with
+    rational coefficients: [(factor, multiplicity)], primitive over Z
+    with positive leading coefficients (highest y, then z), ordered by
+    deg_y, multiplicity, then the dense rows (y, then z, descending).
+    Kronecker's map y -> x, z -> x^D, D = deg_y F + 1, is one to one on
+    the divisors of F once its monomial content y^a z^b is taken out."""
+    terms = {k: rational(c) for k, c in F.terms.items()}
+    a, b, D = min(i for i, _ in terms), min(j for _, j in terms), F.deg_y + 1
+    image = {i - a + D * (j - b): c for (i, j), c in terms.items()}
+    image = UniPoly([image.get(e, 0) for e in range(max(image) + 1)])
+    # monic times the lcm of its denominators is primitive, and so are products
+    pieces = [f.scale(math.lcm(*(c.denominator for c in f.coeffs)))
+              for f, m in factor_q(image) for _ in range(m)]
+
+    def back(ps):
+        c = math.prod(ps).coeffs
+        return BiPoly({(e % D, e // D): q for e, q in enumerate(c) if q})
+
+    def split(f, chosen, rest):
+        g, h = back(chosen), back(rest)
+        return (g, h) if g * h in (f, -f) else None
+
+    found = [BiPoly.variable("y")] * a + [BiPoly.variable("z")] * b
+    if pieces:
+        found += _recombine(back(pieces), pieces, split)
+    counts = Counter(-g if g.terms[max(g.terms)] < 0 else g for g in found)
+    return sorted(counts.items(), key=lambda gm: (gm[0].deg_y, gm[1], [
+        r.coeffs[::-1] for r in reversed(gm[0].columns("z"))]))
 
 
 def factor_over_tower(p, tower):

@@ -477,6 +477,8 @@ def validate_input(F):
 
 @lru_cache(maxsize=64)
 def _validate_cached(F):
+    from . import factor
+
     if not F.rational_coeffs():
         raise ValueError("validate_input expects rational coefficients")
     if F.is_zero() or F.deg_z < 1:
@@ -485,46 +487,20 @@ def _validate_cached(F):
         raise TrivialLinear("F is of the form y' - lambda")
     if F.deg_y <= 0:
         # univariate in z with deg >= 2: always splits over an extension
-        from . import factor
         p = UniPoly([rational(c) for c in univariate_slice(F, "z", 0).coeffs], "x")
         _, root = factor.adjoin_root(QQ, p)
-        witness = BiPoly({(0, 1): _F1, (0, 0): -root})
         raise NotIrreducible("F factors over an algebraic extension",
-                             witness=witness)
+                             witness=BiPoly({(0, 1): _F1, (0, 0): -root}))
     # the count is 1 only for a squarefree, absolutely irreducible F
     r = ruppert_factor_count(F)
     if r != 1:
-        _check_q_irreducible(F)
+        factors = factor.factor_bivariate_q(F)
+        if len(factors) > 1 or factors[0][1] > 1:
+            raise NotIrreducible("F is reducible over Q", witness=factors[0][0])
         raise NotIrreducible(
             "F is irreducible over Q but splits into %d factors over the "
             "algebraic closure" % r, witness=None)
     return F
-
-
-def _check_q_irreducible(F):
-    import sympy
-
-    y, z = sympy.symbols("y z")
-    expr = sympy.Integer(0)
-    for (i, j), c in F.terms.items():
-        q = rational(c)
-        expr += sympy.Rational(q.numerator, q.denominator) * y**i * z**j
-    _, factors = sympy.factor_list(sympy.Poly(expr, y, z))
-    nontrivial = [(p, e) for p, e in factors if p.total_degree() > 0]
-    if len(nontrivial) > 1 or (nontrivial and nontrivial[0][1] > 1):
-        wp = nontrivial[0][0]
-        witness = _from_sympy(wp, y, z)
-        raise NotIrreducible("F is reducible over Q", witness=witness)
-
-
-def _from_sympy(p, y, z):
-    import sympy
-
-    terms = {}
-    pd = sympy.Poly(p, y, z)
-    for (i, j), c in pd.terms():
-        terms[(int(i), int(j))] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-    return BiPoly(terms)
 
 
 def ruppert_factor_count(F):

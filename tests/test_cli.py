@@ -347,3 +347,34 @@ def test_cli_accept_paths_do_not_import_sympy():
              ["classify", *ex2, "--format", "json"],
              ["critical", "--ode", pool0, "--format", "json"]]
     _assert_no_sympy(cases)
+
+
+_SYMPY_BLOCKED_PROBE = """
+import io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from aodesolve.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    out.append([main(argv, out=io.StringIO(), err=err), err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_cli_runs_as_if_sympy_were_not_installed():
+    """With sympy blocked, accepted inputs exit 0, and rejected ones,
+    reducible over Q or only over Q-bar, exit 2 with their message."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    cases = [["solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "1, sqrt(2)"],
+             ["classify", "--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2"],
+             ["critical", "--ode", "(y')^2 - y^2"],
+             ["critical", "--ode", "(y' - y)*(y' + y^2)"],
+             ["critical", "--ode", "(y')^2 - 2*y^2"]]
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_BLOCKED_PROBE, json.dumps(cases)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reducible = [2, "error: F is reducible over Q\n"]
+    assert json.loads(proc.stdout) == [[0, ""], [0, ""], reducible, reducible,
+                                       [2, "error: F is irreducible over Q but splits into 2 "
+                                           "factors over the algebraic closure\n"]]

@@ -177,19 +177,51 @@ def test_validate_matches_the_sympy_first_order():
 
 
 def test_validate_accepts_ex1_without_sympy_and_rejects_by_the_count(monkeypatch):
-    """A Ruppert count of 1 accepts with no sympy call; every built curve
-    that splits over Q or Q-bar, squares and y-content included, has a
-    count of at least 2."""
-    from aodesolve import poly
+    """A Ruppert count of 1 accepts with no bivariate factorization;
+    every built curve that splits over Q or Q-bar, squares and y-content
+    included, has a count of at least 2."""
+    from aodesolve import factor, poly
 
-    def no_sympy(B):
-        raise AssertionError("sympy factorization on an accepted curve")
+    def no_factoring(B):
+        raise AssertionError("bivariate factorization on an accepted curve")
 
-    monkeypatch.setattr(poly, "_check_q_irreducible", no_sympy)
+    monkeypatch.setattr(factor, "factor_bivariate_q", no_factoring)
     poly._validate_cached.cache_clear()
     assert validate_input(_G) == _G
     poly._validate_cached.cache_clear()
     assert [ruppert_factor_count(B) for B in _BUILT] == [1, 2, 12, 2, 2, 3]
+
+
+def _sympy_factor_list(B):
+    import sympy
+
+    expr, y, z = _sympy_bipoly(B)
+    _, factors = sympy.factor_list(sympy.Poly(expr, y, z))
+    return [(_from_sympy_expr(p.as_expr(), y, z), m) for p, m in factors]
+
+
+def test_factor_bivariate_q_matches_sympy_factor_list():
+    """The full factor list (factors, multiplicities and order) against
+    sympy's, on products (one with fractional coefficients), squares,
+    content free of y or of y', monomial content, lines through the
+    origin, and curves whose Kronecker image splits further than the
+    curve does."""
+    from aodesolve.factor import factor_bivariate_q
+    from aodesolve.parsing import parse_polynomial
+
+    rng = random.Random("factor_bivariate_q")
+    curves = [_random_curve(rng, 3, 2) * _random_curve(rng, 3, 2) for _ in range(4)]
+    curves += [_random_curve(rng, 2, 1) * _random_curve(rng, 2, 2) * _random_curve(rng, 2, 1)
+               for _ in range(3)]
+    curves += [_random_curve(rng, 3, 2) ** 2, _G * _G,
+               BiPoly({(0, 1): F(1, 2), (1, 0): F(-1, 3)}) * _G]
+    curves += [parse_polynomial(s) for s in (
+        "(3*y^2 + 1)*(2*y' + 1)*((y')^2 - y^3 - y^2)",
+        "(y' - y)*(y' - 2*y)*(y' - 3*y)*(y' - 4*y)*(y' - 5*y)",
+        "y*(y')^2*(y' - y)", "y^2*(y')", "(y' - y)^2*(y' + y)",
+        "(y')^4 - 4*y^4", "(y')^2 - 2*y^2", "(y')^2 - 2*y^6", "(y')^3 - y^7")]
+    for B in curves:
+        assert factor_bivariate_q(B) == _sympy_factor_list(B), B.render()
 
 
 def test_ruppert_counts(ex1, ex2):
