@@ -14,7 +14,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, zip_longest
+from itertools import count, zip_longest
 
 from .errors import ExtensionLimitExceeded
 from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
@@ -190,7 +190,7 @@ def _zassenhaus(f):
     rng = random.Random(0)
     us = _hensel(f, [u for g, d in ddf for u in _edf(g, d, p, rng)], p, M)
 
-    def split(f, chosen, _):
+    def split(f, chosen):
         g = [c - M if 2 * c > M else c for c in _pmul(M, [f[-1]], *chosen)]
         d = math.gcd(*g)
         g = [c // d for c in g]
@@ -200,17 +200,29 @@ def _zassenhaus(f):
     return _recombine(f, us, split)
 
 
+def _multisets(counts, s):
+    """The vectors ks <= counts of sum s, the largest ks[0] first: with
+    every count 1, the order of itertools.combinations."""
+    if not counts:
+        yield ()
+        return
+    for k in range(min(counts[0], s), max(s - sum(counts[1:]), 0) - 1, -1):
+        for ks in _multisets(counts[1:], s - k):
+            yield (k,) + ks
+
+
 def _recombine(f, pieces, split):
-    """The factors of f made by products of subsets of its pieces, the
-    smallest subsets first and none over half the pieces (the complement
-    comes first); split(f, chosen, rest) is (factor, cofactor) or None."""
+    """The factors of f made by products of sub-multisets of its pieces,
+    each tried once, the smallest first and none over half the pieces
+    (the complement comes first); split(f, chosen) is (factor, cofactor)
+    or None."""
+    kinds = [[u, pieces.count(u)] for i, u in enumerate(pieces) if u not in pieces[:i]]
     out, s = [], 1
-    while 2 * s <= len(pieces):
-        for S in combinations(range(len(pieces)), s):
-            rest = [u for i, u in enumerate(pieces) if i not in S]
-            found = split(f, [pieces[i] for i in S], rest)
+    while 2 * s <= sum(m for _, m in kinds):
+        for ks in _multisets([m for _, m in kinds], s):
+            found = split(f, [u for (u, _), k in zip(kinds, ks) for _ in range(k)])
             if found:
-                (g, f), pieces = found, rest
+                (g, f), kinds = found, [[u, m - k] for (u, m), k in zip(kinds, ks) if m > k]
                 out.append(g)
                 break
         else:
@@ -227,23 +239,30 @@ def factor_bivariate_q(F):
     the divisors of F once its monomial content y^a z^b is taken out."""
     terms = {k: rational(c) for k, c in F.terms.items()}
     a, b, D = min(i for i, _ in terms), min(j for _, j in terms), F.deg_y + 1
-    image = {i - a + D * (j - b): c for (i, j), c in terms.items()}
-    image = UniPoly([image.get(e, 0) for e in range(max(image) + 1)])
+
+    def image(f):
+        e = {i + D * j: c for (i, j), c in f.terms.items()}
+        return UniPoly([e.get(k, 0) for k in range(max(e) + 1)])
+
+    def back(p):
+        return BiPoly({(e % D, e // D): c for e, c in enumerate(p.coeffs) if c})
+
+    def split(f, chosen):
+        # a factor g of f has deg_y lc_z(g) = deg image(g) mod D <= deg_y lc_z(f)
+        fx = image(f)
+        if sum(u.degree for u in chosen) % D > fx.degree % D:
+            return None
+        g = math.prod(chosen)
+        g, h = back(g), back(fx.exact_div(g))
+        return (g, h) if g * h == f else None
+
     # monic times the lcm of its denominators is primitive, and so are products
+    content_free = BiPoly({(i - a, j - b): c for (i, j), c in terms.items()})
     pieces = [f.scale(math.lcm(*(c.denominator for c in f.coeffs)))
-              for f, m in factor_q(image) for _ in range(m)]
-
-    def back(ps):
-        c = math.prod(ps).coeffs
-        return BiPoly({(e % D, e // D): q for e, q in enumerate(c) if q})
-
-    def split(f, chosen, rest):
-        g, h = back(chosen), back(rest)
-        return (g, h) if g * h in (f, -f) else None
-
+              for f, m in factor_q(image(content_free)) for _ in range(m)]
     found = [BiPoly.variable("y")] * a + [BiPoly.variable("z")] * b
     if pieces:
-        found += _recombine(back(pieces), pieces, split)
+        found += _recombine(back(math.prod(pieces)), pieces, split)
     counts = Counter(-g if g.terms[max(g.terms)] < 0 else g for g in found)
     return sorted(counts.items(), key=lambda gm: (gm[0].deg_y, gm[1], [
         r.coeffs[::-1] for r in reversed(gm[0].columns("z"))]))
@@ -262,12 +281,8 @@ def factor_over_tower(p, tower):
         return factor_q(_rationalize(p))
     if p.degree == 1:
         return [(UniPoly([lift(c, tower) for c in p.coeffs], p.var), 1)]
-    out = []
-    for g, m in squarefree_decomposition(p):
-        for h in _trager_irreducible(g, tower):
-            out.append((h, m))
-    out.sort(key=_factor_key)
-    return out
+    return sorted(((h, m) for g, m in squarefree_decomposition(p)
+                   for h in _trager_irreducible(g, tower)), key=_factor_key)
 
 
 def _rationalize(p):
@@ -296,8 +311,7 @@ def _trager_irreducible(g, tower):
     """Irreducible factors of a squarefree monic g over a tower of
     height >= 1 (Trager's norm reduction)."""
     theta = tower.generator(tower.height - 1)
-    shifts = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    for s in shifts:
+    for s in [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]:
         gs = g.eval(UniPoly([-s * theta, _F1], g.var)) if s else g
         norm, sub = _norm(gs, tower)
         dn = norm.derivative()
@@ -312,8 +326,7 @@ def _trager_irreducible(g, tower):
             if s:
                 d = d.eval(UniPoly([s * theta, _F1], g.var))
             out.append(d.monic())
-    total = sum(f.degree for f in out)
-    if total != g.degree:
+    if sum(f.degree for f in out) != g.degree:
         raise ArithmeticError("Trager factorization lost degree")
     return out
 
@@ -339,16 +352,8 @@ def roots_in_tower(p, tower):
 
 
 def _factor_reps(f, tower):
-    h = tower.height
-    reps = []
-    for c in f.coeffs:
-        c = as_alg(c, tower)
-        reps.append(rep_lift(c.rep, c.level, h))
-    return reps
-
-
-def _next_name(tower):
-    return "a%d" % (tower.height + 1)
+    cs = [as_alg(c, tower) for c in f.coeffs]
+    return [rep_lift(c.rep, c.level, tower.height) for c in cs]
 
 
 def extend_by_factor(tower, f, box, name=None, cap=DEFAULT_DEGREE_CAP):
@@ -357,7 +362,7 @@ def extend_by_factor(tower, f, box, name=None, cap=DEFAULT_DEGREE_CAP):
         raise ExtensionLimitExceeded(
             "extension degree %d exceeds cap %d" % (tower.degree() * f.degree, cap),
             tower=tower)
-    lev = Level(name or _next_name(tower), tuple(_factor_reps(f, tower)), box)
+    lev = Level(name or "a%d" % (tower.height + 1), tuple(_factor_reps(f, tower)), box)
     t2 = tower.extend(lev)
     return t2, t2.generator(t2.height - 1)
 
@@ -441,8 +446,7 @@ def minpoly_over_q(x):
     p = UniPoly([-x, AlgebraicNumber(tower, 0, _F1)], "x")
     while tower.height > 0:
         p, tower = _norm(p, tower)
-    p = _rationalize(p)
-    for f, _ in factor_q(p):
+    for f, _ in factor_q(_rationalize(p)):
         if f.eval(x) == 0:
             return f
     raise ArithmeticError("minimal polynomial selection failed")
@@ -450,8 +454,7 @@ def minpoly_over_q(x):
 
 def alg_eq(x, y):
     """Exact equality of algebraic numbers, across towers."""
-    x = as_alg(x)
-    y = as_alg(y)
+    x, y = as_alg(x), as_alg(y)
     if common_tower(x.tower, y.tower) is not None:
         return x.level == y.level and x.rep == y.rep
     if not x.box(64).intersects(y.box(64)):

@@ -114,11 +114,8 @@ def uni_gcd(f, g):
     """Monic gcd over a field."""
     a, b = f, g
     while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
+        a, b = b, a.divmod(b)[1]
+    return a.monic()  # the zero polynomial stays as it is
 
 
 def squarefree_decomposition(f):

@@ -190,6 +190,20 @@ def test_factor_q_matches_sympy_on_what_classify_and_critical_factor(monkeypatch
         assert got == _sympy_factor_q(list(p.coeffs)), p
 
 
+def test_recombine_tries_each_multiset_of_pieces_once():
+    """20 equal pieces and 4 distinct ones have 175 sub-multisets of
+    sizes 1 to 12, each tried once; subsets of positions would number
+    9,740,685."""
+    tried = []
+
+    def split(f, chosen):
+        tried.append(tuple(sorted(chosen)))
+
+    assert factor._recombine("f", [1] * 20 + [2, 3, 4, 5], split) == ["f"]
+    assert len(tried) == len(set(tried)) == 175
+    assert {len(c) for c in tried} == set(range(1, 13))
+
+
 def _towers():
     """Q(sqrt(2)), Q(2^(1/4)) and Q(sqrt(2))(sqrt(3)), each with the
     elements of its Q-basis other than 1."""

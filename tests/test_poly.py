@@ -219,9 +219,22 @@ def test_factor_bivariate_q_matches_sympy_factor_list():
         "(3*y^2 + 1)*(2*y' + 1)*((y')^2 - y^3 - y^2)",
         "(y' - y)*(y' - 2*y)*(y' - 3*y)*(y' - 4*y)*(y' - 5*y)",
         "y*(y')^2*(y' - y)", "y^2*(y')", "(y' - y)^2*(y' + y)",
-        "(y')^4 - 4*y^4", "(y')^2 - 2*y^2", "(y')^2 - 2*y^6", "(y')^3 - y^7")]
+        "(y')^4 - 4*y^4", "(y')^2 - 2*y^2", "(y')^2 - 2*y^6", "(y')^3 - y^7",
+        "y*((y')^3 - y^20)")]
     for B in curves:
         assert factor_bivariate_q(B) == _sympy_factor_list(B), B.render()
+
+
+def test_validate_rejects_a_curve_whose_image_repeats_a_piece_twenty_times():
+    """y ((y')^3 - y^20) is reducible.  The image of its cofactor,
+    x^20 (x^46 - 1), has 24 irreducible pieces, 20 of them x; each
+    multiset of them is tried once, so the reject takes well under a
+    second, where the subsets of positions would number 9.7 million."""
+    from aodesolve.parsing import parse_polynomial
+
+    with pytest.raises(NotIrreducible) as exc:
+        validate_input(parse_polynomial("y*((y')^3 - y^20)"))
+    assert exc.value.witness == BiPoly.variable("y")
 
 
 def test_ruppert_counts(ex1, ex2):
