@@ -336,7 +336,8 @@ def _trager_irreducible(g, tower):
 
 
 def _sorted_roots(roots):
-    return sorted(roots, key=lambda rm: rm[0].sort_key())
+    roots = list(roots)   # sorted() would compute the key of a lone root
+    return sorted(roots, key=lambda rm: rm[0].sort_key()) if len(roots) > 1 else roots
 
 
 def _linear_roots(factors, tower):

@@ -9,6 +9,7 @@ Fractions or AlgebraicNumbers; mixed arithmetic goes through the
 operator overloads on AlgebraicNumber.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -19,6 +20,7 @@ from .series import TruncatedSeries, derivative as _derivative, join_terms
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_P61 = 2 ** 61 - 1   # the prime of ruppert_factor_count's modular rank
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +512,11 @@ def ruppert_factor_count(F):
     The solution space has dimension equal to the factor count.  For any
     F it is at least 2 unless F is squarefree and absolutely irreducible:
     F*df/f solves it for each factor f, and F*d(1/f) too when f^2 | F.
+
+    The rank is taken mod 2^61 - 1 first, on F scaled to integers: that
+    rank is at most the rank over Q and (F_y, F_z) lies in the kernel,
+    so a nullity of 1 mod p proves the count is 1.  Any other nullity is
+    recomputed over Fraction.
     """
     m, n = F.deg_y, F.deg_z
     g_idx = [(i, j) for i in range(m) for j in range(n + 1)]
@@ -517,13 +524,14 @@ def ruppert_factor_count(F):
     cols = len(g_idx) + len(h_idx)
     rows = {}
 
-    f = {k: rational(c) for k, c in F.terms.items()}
+    den = math.lcm(*(rational(c).denominator for c in F.terms.values()))
+    f = {k: int(rational(c) * den) for k, c in F.terms.items()}
 
     def add(row_key, col, val):
         if val == 0:
             return
         r = rows.setdefault(row_key, {})
-        r[col] = r.get(col, _F0) + val
+        r[col] = r.get(col, 0) + val
         if r[col] == 0:
             del r[col]
 
@@ -549,29 +557,34 @@ def ruppert_factor_count(F):
             add((fi + hi, fj + hj), off + col, c)
 
     matrix = [r for r in rows.values() if r]
-    rank = _sparse_rank(matrix, cols)
-    return cols - rank
+    if cols - _sparse_rank(matrix, _P61) == 1:
+        return 1
+    return cols - _sparse_rank(matrix)
 
 
-def _sparse_rank(rows, ncols):
-    """Gaussian elimination over Fraction on sparse rows."""
+def _sparse_rank(rows, p=None):
+    """Rank of sparse integer rows by Gaussian elimination over Fraction,
+    or over GF(p) when a prime p is given."""
     pivots = {}
     rank = 0
     for row in rows:
-        row = dict(row)
+        row = {c: v % p for c, v in row.items() if v % p} if p else \
+            {c: Fraction(v) for c, v in row.items()}
         while row:
             c = min(row)
             if c in pivots:
-                prow, pval = pivots[c]
-                factor = row[c] / pval
+                prow, pinv = pivots[c]
+                factor = row[c] * pinv % p if p else row[c] * pinv
                 for cc, vv in prow.items():
-                    nv = row.get(cc, _F0) - factor * vv
+                    nv = row.get(cc, 0) - factor * vv
+                    if p:
+                        nv %= p
                     if nv == 0:
                         row.pop(cc, None)
                     else:
                         row[cc] = nv
             else:
-                pivots[c] = (row, row[c])
+                pivots[c] = (row, pow(row[c], -1, p) if p else 1 / row[c])
                 rank += 1
                 break
     return rank

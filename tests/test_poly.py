@@ -246,6 +246,91 @@ def test_ruppert_counts(ex1, ex2):
     assert ruppert_factor_count(BiPoly({(0, 2): F(1), (3, 0): F(-1)})) == 1
 
 
+# the 12 curves of perfbench's critical_random pool, copied as text
+_POOL = [
+    "-3 - 3*(y') - 2*y + 2*(y')^2 - 5*y*(y') - 1*y^2 + 5*(y')^3 - 4*y*(y')^2 - 4*y^2*(y') "
+    "+ 2*y^3 + 2*y*(y')^3 + 5*y^2*(y')^2 + 3*y^3*(y') - 1*y^4",
+    "-3 + 2*(y') + y + 5*(y')^2 + 4*y*(y') - 2*y^2 - 5*(y')^3 + y*(y')^2 + 5*y^2*(y') "
+    "- 2*y^3 + 4*y*(y')^3 + 4*y^2*(y')^2 - 4*y^3*(y') - 1*y^4",
+    "1 + 5*(y') + 2*y + 4*(y')^2 + 2*y*(y') - 5*y^2 - 3*(y')^3 - 1*y*(y')^2 - 1*y^2*(y') "
+    "+ 4*y^3 + y*(y')^3 - 5*y^2*(y')^2 - 4*y^3*(y') - 5*y^4",
+    "3 + 5*(y') - 1*y - 2*(y')^2 + y*(y') + 5*y^2 - 1*(y')^3 - 3*y*(y')^2 - 2*y^2*(y') "
+    "+ 2*y^3 + 5*y*(y')^3 - 2*y^2*(y')^2 - 5*y^3*(y') + y^4",
+    "4 - 3*(y') - 1*y - 3*(y')^2 - 2*y*(y') + 3*y^2 + 2*(y')^3 - 5*y*(y')^2 - 4*y^2*(y') "
+    "+ 5*y^3 + 2*y*(y')^3 - 4*y^2*(y')^2 - 2*y^3*(y') - 3*y^4",
+    "-5 + 2*(y') + y + 5*(y')^2 + 3*y*(y') + 2*y^2 + 3*(y')^3 - 2*y*(y')^2 + 4*y^2*(y') "
+    "- 2*y^3 - 2*y*(y')^3 + 3*y^2*(y')^2 - 4*y^3*(y') - 5*y^4",
+    "-3 + 3*(y') - 1*y + 2*(y')^2 - 2*y*(y') + 3*y^2 + 2*(y')^3 - 3*y*(y')^2 - 4*y^2*(y') "
+    "+ 3*y^3 + 2*y*(y')^3 - 4*y^2*(y')^2 - 4*y^3*(y') + 3*y^4",
+    "-4 + 4*(y') - 1*y + 2*(y')^2 - 1*y*(y') + 4*y^2 - 4*(y')^3 - 3*y*(y')^2 + 5*y^2*(y') "
+    "- 4*y^3 + 5*y*(y')^3 - 1*y^2*(y')^2 + 5*y^3*(y') - 4*y^4",
+    "-2 + (y') - 2*y - 1*(y')^2 + y*(y') + y^2 + (y')^3 + 5*y*(y')^2 + y^2*(y') - 4*y^3 "
+    "- 3*y*(y')^3 - 4*y^2*(y')^2 - 2*y^3*(y') - 3*y^4",
+    "-4 + 5*(y') + 5*y + 2*(y')^2 + y*(y') - 3*y^2 + 3*(y')^3 + 3*y*(y')^2 - 5*y^2*(y') "
+    "- 2*y^3 - 2*y*(y')^3 - 3*y^2*(y')^2 - 5*y^3*(y') - 5*y^4",
+    "1 + 4*(y') - 3*y + 3*(y')^2 + 5*y*(y') + 2*y^2 - 5*(y')^3 - 4*y*(y')^2 - 1*y^2*(y') "
+    "+ 2*y^3 - 4*y*(y')^3 + y^2*(y')^2 + 3*y^3*(y') + 4*y^4",
+    "5 + (y') - 1*y - 4*(y')^2 - 4*y*(y') + 5*y^2 + 4*(y')^3 + y*(y')^2 + 2*y^2*(y') "
+    "- 5*y^3 - 3*y*(y')^3 + 5*y^2*(y')^2 - 2*y^3*(y') + 3*y^4",
+]
+
+
+def test_accept_path_proves_the_count_mod_p_without_fraction_elimination(monkeypatch):
+    """Ex1, Ex2 with a = +-1..4 and the critical_random pool are accepted
+    on the rank mod 2^61 - 1 alone."""
+    from aodesolve import poly
+    from aodesolve.parsing import parse_polynomial
+
+    rank = poly._sparse_rank
+
+    def modular_only(rows, p=None):
+        assert p == poly._P61, "Fraction elimination on an accepted curve"
+        return rank(rows, p)
+
+    monkeypatch.setattr(poly, "_sparse_rank", modular_only)
+    ex2 = "((y'-%d)^2 + y^2)^3 - 4*(y'-%d)^2*y^2"
+    curves = [_G] + [parse_polynomial(ex2 % (a, a)) for a in (1, 2, 3, 4, -1, -2, -3, -4)]
+    curves += [parse_polynomial(s) for s in _POOL]
+    poly._validate_cached.cache_clear()
+    try:
+        assert [validate_input(B) for B in curves] == curves
+    finally:
+        poly._validate_cached.cache_clear()
+
+
+def test_modular_count_matches_the_exact_nullity(monkeypatch):
+    """On seeded random curves, irreducible and reducible (products,
+    squares, y-content, a split over Q(sqrt(2))), the count equals the
+    nullity over Fraction and the nullity mod p is never below it."""
+    from aodesolve import poly
+
+    # det 3: full rank over Q, rank 1 mod 3
+    assert poly._sparse_rank([{0: 2, 1: 1}, {0: 1, 1: 2}]) == 2
+    assert poly._sparse_rank([{0: 2, 1: 1}, {0: 1, 1: 2}], 3) == 1
+
+    rank, ranks = poly._sparse_rank, {}
+
+    def both(rows, p=None):
+        ranks["exact"], ranks["mod p"] = rank(rows), rank(rows, poly._P61)
+        return ranks["exact" if p is None else "mod p"]
+
+    monkeypatch.setattr(poly, "_sparse_rank", both)
+    rng = random.Random("ruppert:modular")
+    y = BiPoly.variable("y")
+    curves = [_random_curve(rng) for _ in range(4)]
+    curves += [_random_curve(rng, 2, 2) * _random_curve(rng, 3, 2) for _ in range(2)]
+    curves += [_random_curve(rng, 2, 2) ** 2, y * _random_curve(rng, 3, 2),
+               BiPoly({(0, 2): F(1), (2, 0): F(-2)}), _G * BiPoly({(0, 0): F(1, 3)})]
+    counts = []
+    for B in curves:
+        m, n = B.deg_y, B.deg_z
+        cols = m * (n + 1) + (m + 1) * n
+        counts.append(ruppert_factor_count(B))
+        assert counts[-1] == cols - ranks["exact"], B.render()
+        assert cols - ranks["mod p"] >= cols - ranks["exact"], B.render()
+    assert counts[:4] == [1] * 4 and min(counts[4:-1]) >= 2 and counts[-1] == 1
+
+
 def test_translate_by_expansion_oracle(ex1):
     import sympy
 
