@@ -568,8 +568,8 @@ def _sparse_rank(rows, p=None):
     pivots = {}
     rank = 0
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p} if p else \
-            {c: Fraction(v) for c, v in row.items()}
+        row = ({c: v % p for c, v in row.items() if v % p} if p
+               else {c: Fraction(v) for c, v in row.items()})
         while row:
             c = min(row)
             if c in pivots:
