@@ -3,14 +3,12 @@
 All endpoint arithmetic is done over ``Fraction``, so enclosures are
 rigorous without directed rounding: the box of an operation always
 contains every possible value of the operation on members of the input
-boxes.  Numeric root seeds come from mpmath, but containment radii are
-certified with the classical bound  min_i |z - r_i| <= n * |p(z)/p'(z)|.
+boxes.  Root seeds come from an in-house Durand-Kerner iteration, but the
+containment radii are certified by the bound  min_i |z - r_i| <= n |p(z)/p'(z)|.
 """
 
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
 
 _ZERO = Fraction(0)
 
@@ -153,53 +151,60 @@ def root_radius(coeff_boxes, z):
     return frac_sqrt_up(r2)
 
 
-def numeric_roots(coeff_mids, dps=40):
-    """Approximate complex roots via mpmath.polyroots.
+def numeric_roots(coeff_mids, bits):
+    """Approximate complex roots by Durand-Kerner iteration, in place from
+    the start points (0.4 + 0.9i)^k, on Gaussian integers scaled by 2^(bits + 120).
 
     ``coeff_mids`` is an ascending list of (Fraction re, Fraction im)
-    pairs.  Returns a list of (Fraction re, Fraction im) pairs sorted by
-    (re, im).
+    pairs.  Returns (re, im) pairs of Fractions rounded to 2^-bits, with
+    parts below 2^-bits set to 0, sorted by (re, im).
     """
-    n = len(coeff_mids) - 1
-    if n < 1:
-        return []
-    with mpmath.workdps(dps):
-        cs = [mpmath.mpc(mpmath.mpf(c[0].numerator) / c[0].denominator,
-                         mpmath.mpf(c[1].numerator) / c[1].denominator)
-              for c in reversed(coeff_mids)]
-        roots = mpmath.polyroots(cs, maxsteps=200, extraprec=120)
-        out = []
-        for r in roots:
-            out.append((_to_fraction(mpmath.re(r)), _to_fraction(mpmath.im(r))))
-    out.sort()
-    return out
+    w = bits + 120
+    lr, li = coeff_mids[-1]
+    m = lr * lr + li * li
+    cs = [(_fix((cr * lr + ci * li) / m, w), _fix((ci * lr - cr * li) / m, w))
+          for cr, ci in reversed(coeff_mids[:-1])]  # monic, descending
+    roots = [(_fix(Fraction(s.real), w), _fix(Fraction(s.imag), w))
+             for s in ((0.4 + 0.9j) ** k for k in range(len(cs)))]
+    for _ in range(200):
+        big = 0  # the largest |correction|^2 of this sweep
+        for i, (pr, pi) in enumerate(roots):
+            xr, xi = 1 << w, 0
+            for cr, ci in cs:
+                xr, xi = ((xr * pr - xi * pi) >> w) + cr, ((xr * pi + xi * pr) >> w) + ci
+            for qr, qi in roots:
+                qr, qi = pr - qr, pi - qi
+                d2 = qr * qr + qi * qi
+                if d2:
+                    xr, xi = ((xr * qr + xi * qi) << w) // d2, ((xi * qr - xr * qi) << w) // d2
+            roots[i] = pr - xr, pi - xi  # in place: later roots see this one
+            big = max(big, xr * xr + xi * xi)
+        if big < 1 << 240:  # every correction is below 2^-bits
+            return sorted((_seed(re, bits), _seed(im, bits)) for re, im in roots)
+    raise ArithmeticError("root seeds did not converge")
 
 
-def _to_fraction(x):
-    """Exact Fraction from an mpf (dyadic, so exact)."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(-man) if sign else Fraction(man)
-    if exp >= 0:
-        return v * (1 << exp)
-    return v / (1 << -exp)
+def _fix(q, w):
+    """floor(q * 2^w) for a rational q."""
+    return (q.numerator << w) // q.denominator
 
 
-def polish_root(coeff_mids, z, bits, steps=60):
+def _seed(v, bits):
+    """v / 2^(bits + 120) rounded to 2^-bits, or 0 below 2^-bits."""
+    return Fraction((v + (1 << 119)) >> 120 if abs(v) >> 120 else 0, 1 << bits)
+
+
+def polish_root(coeff_mids, z, bits):
     """Newton-polish a root approximation with exact rational steps.
 
     ``coeff_mids``: ascending complex-rational coefficients (pairs).
     ``z``: (re, im) pair of Fractions.  Rounds the iterate to ``bits``
     fractional bits after each step to keep numerators bounded.
     """
-    n = len(coeff_mids) - 1
-    cs = coeff_mids
     zr, zi = z
-    for _ in range(steps):
-        pr, pi = _ZERO, _ZERO
-        dr, di = _ZERO, _ZERO
-        for cr, ci in reversed(cs):
+    for _ in range(60):
+        pr = pi = dr = di = _ZERO
+        for cr, ci in reversed(coeff_mids):
             dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
             pr, pi = pr * zr - pi * zi + cr, pr * zi + pi * zr + ci
         m = dr * dr + di * di
@@ -212,7 +217,6 @@ def polish_root(coeff_mids, z, bits, steps=60):
         zr, zi = zr - qr, zi - qi
         zr = _round_down(zr, bits) if zr >= 0 else -_round_down(-zr, bits)
         zi = _round_down(zi, bits) if zi >= 0 else -_round_down(-zi, bits)
-        step2 = qr * qr + qi * qi
-        if step2 < Fraction(1, 1 << (2 * bits)):
+        if qr * qr + qi * qi < Fraction(1, 1 << (2 * bits)):
             break
     return zr, zi

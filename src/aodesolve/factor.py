@@ -24,16 +24,12 @@ from .poly import BiPoly, UniPoly, resultant_lists, squarefree_decomposition, un
 _F1 = Fraction(1)
 
 
-def _coeff_key(p, prec=48):
-    return tuple(as_alg(c).sort_key(prec) for c in p.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # factorization
 
 
 def _factor_key(fm):
-    return fm[0].degree, _coeff_key(fm[0])
+    return fm[0].degree, tuple(as_alg(c).sort_key(48) for c in fm[0].coeffs)
 
 
 def factor_q(p):

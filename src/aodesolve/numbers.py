@@ -374,7 +374,7 @@ def isolate_roots(tower, coeffs_reps, level, min_prec=0):
     for _ in range(10):
         cboxes = [rep_box(tower, level, c, prec) for c in coeffs_reps]
         mids = [(b.mid_re, b.mid_im) for b in cboxes]
-        approx = numeric_roots(mids, dps=max(30, prec // 3))
+        approx = numeric_roots(mids, bits=max(100, prec * 10 // 9))
         boxes = []
         ok = True
         for z in approx:

@@ -310,20 +310,21 @@ def test_cli_exits_quietly_when_the_reader_has_closed_the_pipe(argv):
 _SYMPY_PROBE = """
 import io, json, sys
 from aodesolve.cli import main
-print(json.dumps([[main(argv, out=io.StringIO(), err=io.StringIO()), "sympy" in sys.modules]
+print(json.dumps([[main(argv, out=io.StringIO(), err=io.StringIO()),
+                   "sympy" in sys.modules, "mpmath" in sys.modules]
                   for argv in json.loads(sys.argv[1])]))
 """
 
 
 def _assert_no_sympy(cases):
     """Each call exits 0 in a fresh interpreter (this one has sympy loaded
-    already) with sympy still absent from sys.modules."""
+    already) with sympy and mpmath still absent from sys.modules."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, json.dumps(cases)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, False]] * len(cases)
+    assert json.loads(proc.stdout) == [[0, False, False]] * len(cases)
 
 
 def test_cli_solve_path_does_not_import_sympy():
@@ -332,6 +333,7 @@ def test_cli_solve_path_does_not_import_sympy():
              ["solve", *ex1, "--at", "3, 6", "--order", "25", "--format", "json"],
              ["solve", *ex1, "--at", "-1, 0", "--order", "4"],
              ["direct", *ex1, "--at", "1, sqrt(2)", "--order", "20"],
+             ["constants", *ex1],
              ["bound", *ex1]]
     _assert_no_sympy(cases)
 
@@ -352,6 +354,7 @@ def test_cli_accept_paths_do_not_import_sympy():
 _SYMPY_BLOCKED_PROBE = """
 import io, json, sys
 sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+sys.modules["mpmath"] = None  # and so does any import of mpmath
 from aodesolve.cli import main
 out = []
 for argv in json.loads(sys.argv[1]):
@@ -362,10 +365,16 @@ print(json.dumps(out))
 
 
 def test_cli_runs_as_if_sympy_were_not_installed():
-    """With sympy blocked, accepted inputs exit 0, and rejected ones,
+    """With sympy and mpmath blocked, accepted inputs exit 0, and rejected ones,
     reducible over Q or only over Q-bar, exit 2 with their message."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    cases = [["solve", "--ode", "(y')^2 - y^3 - y^2", "--at", "1, sqrt(2)"],
+    ex1 = ["--ode", "(y')^2 - y^3 - y^2"]
+    cases = [["solve", *ex1, "--at", "1, sqrt(2)"],
+             ["direct", *ex1, "--at", "1, sqrt(2)"],
+             ["places", *ex1, "--order", "4"],
+             ["constants", *ex1],
+             ["bound", *ex1],
+             ["critical", *ex1],
              ["classify", "--ode", "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2"],
              ["critical", "--ode", "(y')^2 - y^2"],
              ["critical", "--ode", "(y' - y)*(y' + y^2)"],
@@ -375,6 +384,6 @@ def test_cli_runs_as_if_sympy_were_not_installed():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     reducible = [2, "error: F is reducible over Q\n"]
-    assert json.loads(proc.stdout) == [[0, ""], [0, ""], reducible, reducible,
+    assert json.loads(proc.stdout) == [[0, ""]] * 7 + [reducible, reducible,
                                        [2, "error: F is irreducible over Q but splits into 2 "
                                            "factors over the algebraic closure\n"]]

@@ -174,14 +174,15 @@ def test_critical_cases_match_golden():
     _assert_golden(lambda case: case["argv"][0] == "critical")
 
 
-# the functions that may name sympy: none, as sympy is a test oracle only
+# the functions that may name sympy or mpmath: none, as both are test
+# oracles only (root seeds come from enclosure.numeric_roots)
 SYMPY_SCOPES = set()
 
 
 def test_sympy_is_named_only_on_the_reject_path():
-    """Every line of the package that names sympy lies in one of the
-    SYMPY_SCOPES, which is empty: the reject path factors in-house too,
-    so any use of sympy in the package fails here."""
+    """Every line of the package that names sympy or mpmath lies in one
+    of the SYMPY_SCOPES, which is empty: the reject path factors in-house
+    too, and root seeds are in-house, so any use of either fails here."""
     found = set()
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -193,7 +194,7 @@ def test_sympy_is_named_only_on_the_reject_path():
                   for node in ast.walk(ast.parse(text, path))
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         for lineno, line in enumerate(text.splitlines(), 1):
-            if "sympy" in line.lower():
+            if "sympy" in line.lower() or "mpmath" in line.lower():
                 inner = [s for s in scopes if s[0] <= lineno <= s[1]]
                 found.add(name[:-3] + ("." + max(inner)[2] if inner else ""))
     assert found == SYMPY_SCOPES

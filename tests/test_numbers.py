@@ -2,13 +2,14 @@ import json
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
 from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
                               roots_by_factor, roots_in_tower)
-from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, field_arith, lift,
-                               numeric_enclosure)
+from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, field_arith,
+                               isolate_roots, lift, numeric_enclosure)
 from aodesolve.poly import UniPoly
 
 
@@ -156,6 +157,72 @@ def test_enclosure_refinement_monotone(sqrt2_tower):
     b2 = r2.box(48)
     assert b2.width() <= b1.width()
     assert b1.intersects(b2)
+
+
+def _from_roots(roots):
+    """Ascending coefficients of the monic polynomial with these roots."""
+    c = [F(1)]
+    for r in roots:
+        c = [F(0)] + c
+        for k in range(len(c) - 1):
+            c[k] -= r * c[k + 1]
+    return c
+
+
+def _isolation_cases():
+    rng = random.Random(19)
+    mignotte = [F(0)] * 21
+    mignotte[20], mignotte[2], mignotte[1], mignotte[0] = F(1), F(-20000), F(400), F(-2)
+    cases = [("wilkinson-20", QQ, 0, _from_roots([F(k) for k in range(1, 21)])),
+             ("mignotte-20", QQ, 0, mignotte),
+             ("close pair", QQ, 0, _from_roots([F(1), 1 + F(1, 10**30), F(3)])),
+             ("x^30 - x - 1", QQ, 0, [F(-1), F(-1)] + [F(0)] * 28 + [F(1)])]
+    for deg in range(2, 15):
+        c = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)]
+        cases.append(("random degree %d" % deg, QQ, 0, c + [F(rng.choice([-3, -1, 1, 2]))]))
+    gaussian, _ = adjoin_root(QQ, _upoly(1, 0, 1), name="i")
+    # (x - 3)(x^2 + i x + 1/2 - i)(x - 1 - 2i): coefficients are reps a + b*i
+    cases.append(("over Q(i)", gaussian, 1,
+                  [(F(15, 2),), (F(-10), F(6)), (F(11, 2), F(1)), (F(-4), F(-1)), (F(1),)]))
+    return cases
+
+
+def _mpc_coeff(rep, level):
+    re, im = (rep, F(0)) if level == 0 else (tuple(rep) + (F(0), F(0)))[:2]
+    return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                      mpmath.mpf(im.numerator) / im.denominator)
+
+
+def test_isolate_roots_against_an_mpmath_oracle():
+    """Each isolating box set has deg pairwise disjoint boxes, and the
+    roots from mpmath.polyroots, Newton-polished at 100 digits, lie one in
+    each box, within 10^-50: a box around an exact root is a point, and
+    the oracle's rounded coefficients move the close pair by ~10^-70."""
+    tol = F(1, 10**50)
+    for name, tower, level, coeffs in _isolation_cases():
+        deg = len(coeffs) - 1
+        boxes = isolate_roots(tower, coeffs, level)
+        assert len(boxes) == deg, name
+        assert not any(boxes[i].intersects(boxes[j])
+                       for i in range(deg) for j in range(i + 1, deg)), name
+        with mpmath.workdps(40):
+            roots = mpmath.polyroots([_mpc_coeff(c, level) for c in reversed(coeffs)],
+                                     maxsteps=400, extraprec=100)
+        hits = []
+        with mpmath.workdps(100):
+            cs = [_mpc_coeff(c, level) for c in reversed(coeffs)]
+            for r in roots:
+                for _ in range(100):  # linear at first near the close pair
+                    p, dp = mpmath.polyval(cs, r, derivative=True)
+                    step = p / dp
+                    r -= step
+                    if abs(step) < 1e-60:
+                        break
+                re, im = F(mpmath.nstr(r.real, 90)), F(mpmath.nstr(r.imag, 90))
+                hits.append([k for k, b in enumerate(boxes)
+                             if b.re_lo - tol <= re <= b.re_hi + tol
+                             and b.im_lo - tol <= im <= b.im_hi + tol])
+        assert sorted(hits) == [[k] for k in range(deg)], name
 
 
 def test_cross_tower_lift():
