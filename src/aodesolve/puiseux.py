@@ -136,23 +136,30 @@ def _transform(F, edge, u, v, xi):
 def _regular_tail(H, n):
     """The unique series z(y), z(0) = 0, with H(y, z(y)) = 0, computed
     to n+1 coefficients by Newton iteration; requires dH/dz(0,0) != 0.
+    A step takes P, right to t^(k-1), to P - H(t, P) / H_z(t, P), right
+    to t^m with m = min(2k, n + 1) - 1.  H(t, P) = O(t^k), so it is
+    evaluated to order m and H_z(t, P) only to order m - k; each is a
+    Horner in z on the columns of H read as series in t.
     It comes back exact when those coefficients solve H exactly; an
     identity holds at every point, so one nonzero H(1/3, P(1/3)) rules
     that out without the series check."""
+    def at(F, P, m):
+        acc = 0 * P
+        for col in reversed(F.coeffs):
+            acc = acc * P + TruncatedSeries(col.coeffs, m)
+        return acc
+
     Hz = H.diff_z()
     coeffs = [_F0]
-    tS = TruncatedSeries.exact([_F0, _F1])
     while len(coeffs) <= n:
-        k2 = min(2 * len(coeffs), n + 1)
-        P = TruncatedSeries(coeffs, k2 - 1)
-        num = H.eval_series(tS.truncate(k2 - 1), P)
-        den = Hz.eval_series(tS.truncate(k2 - 1), P)
-        upd = P - num * invert(den)
-        coeffs = list(upd.coeffs[:k2])
+        k, m = len(coeffs), min(2 * len(coeffs), n + 1) - 1
+        P = TruncatedSeries(coeffs, m)
+        upd = P - at(H, P, m) * invert(at(Hz, P.truncate(m - k), m - k))
+        coeffs = list(upd.coeffs[:m + 1])
     t0 = Fraction(1, 3)
     if H.eval(t0, UniPoly(coeffs[:n + 1]).eval(t0)) == 0:
         exact_poly = TruncatedSeries.exact(coeffs[:n + 1])
-        if H.eval_series(tS, exact_poly).is_zero_series():
+        if H.eval_series(TruncatedSeries.exact([_F0, _F1]), exact_poly).is_zero_series():
             return exact_poly
     return TruncatedSeries(coeffs[:n + 1], n)
 

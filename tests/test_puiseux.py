@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from aodesolve.parsing import parse_initial_tuple, parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, multiplicity_at, translate
 from aodesolve.puiseux import (default_bound, newton_polygon, places_at,
                                ramification_kind, tangent_vector)
+from aodesolve.series import TruncatedSeries
 from aodesolve.solver import critical_set
 from conftest import make_ex1, make_ex2, make_ex3
 
@@ -372,3 +374,62 @@ def test_extended_places_match_a_pass_at_that_order(ode, at):
         assert p.extend(5).B.known(5) and p.B.agrees_with(q.B)
         assert p.B is B or not B.known(5)
     assert [p.extend(30).to_json() for p in short] == [q.to_json() for q in deep]
+
+
+def _lift_by_coefficients(H, n):
+    """Oracle for _regular_tail: z_k = -[t^k] H(t, z_<k) / H_z(0, 0),
+    one coefficient at a time, through BiPoly.eval_series."""
+    hz0 = H.diff_z().coeff(0, 0)
+    tS, z = TruncatedSeries.exact([F(0), F(1)]), [F(0)]
+    for k in range(1, n + 1):
+        z.append(-H.eval_series(tS.truncate(k), TruncatedSeries(z, k))[k] / hz0)
+    return z
+
+
+def _random_tail_inputs(rng, scalars):
+    """H(0, 0) = 0 and H_z(0, 0) != 0 in three shapes: dense; (z - p(y)) G
+    with G(0, 0) != 0, whose tail is the polynomial p; and a dense H times
+    (1 - 3y), which vanishes on the line of the scalar pre-check."""
+    nonzero = [c for c in scalars if c != 0]
+
+    def dense(dy, dz):
+        terms = {(i, j): rng.choice(scalars) for i in range(dy + 1) for j in range(dz + 1)}
+        terms[(0, 0)] = F(0)
+        terms[(1, 0)], terms[(0, 1)] = rng.choice(nonzero), rng.choice(nonzero)  # z does not divide H
+        return BiPoly(terms)
+
+    p = BiPoly({(i, 0): rng.choice(nonzero) for i in range(1, rng.randint(2, 7))})
+    G = BiPoly({(0, 0): rng.choice(nonzero), (1, 0): rng.choice(scalars),
+                (0, 1): rng.choice(scalars), (2, 1): rng.choice(scalars)})
+    return [dense(2, 2), dense(1, 3), (BiPoly.variable("z") - p) * G,
+            BiPoly({(0, 0): F(1), (1, 0): F(-3)}) * dense(1, 2)]
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt(2))"])
+def test_regular_tail_matches_coefficientwise_lifting(over):
+    """Differential test of the Newton lift in _regular_tail, which reads
+    H_z only to the precision each step needs, against lifting one
+    coefficient at a time: equal coefficients, a truncated tail certified
+    to exactly n, and an exact tail exactly when it solves H."""
+    from aodesolve.puiseux import _regular_tail
+
+    rng = random.Random(20 if over == "Q" else 21)
+    scalars = [F(k) for k in range(-3, 4)] + [F(1, 2), F(-2, 3)]
+    if over != "Q":
+        _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+        scalars += [r2, 1 - r2, r2 / 3]
+    # a nonzero value at t0 = 2/7 rules an identity out before the exact check
+    tS, t0 = TruncatedSeries.exact([F(0), F(1)]), F(2, 7)
+    exact = []
+    for H in _random_tail_inputs(rng, scalars):
+        z = _lift_by_coefficients(H, 26)
+        for n in (1, 2, 5, 6, 13, 26):
+            Z = _regular_tail(H, n)
+            assert [Z[k] for k in range(n + 1)] == z[:n + 1], (H, n)
+            P = UniPoly(z[:n + 1], "t")
+            solves = (H.eval(t0, P.eval(t0)) == 0
+                      and H.eval_series(tS, TruncatedSeries.exact(z[:n + 1])).is_zero_series())
+            assert (Z.trunc is None) == solves, (H, n)
+            assert Z.trunc is None or Z.trunc == n, (H, n)
+            exact.append(solves)
+    assert any(exact) and not all(exact)
