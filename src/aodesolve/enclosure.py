@@ -97,6 +97,9 @@ class Box:
                    self.im_lo + other.im_lo, self.im_hi + other.im_hi)
 
     def __mul__(self, other):
+        a, b, c, d = self.re_lo, self.im_lo, other.re_lo, other.im_lo
+        if (a, b, c, d) == (self.re_hi, self.im_hi, other.re_hi, other.im_hi):  # two points
+            return Box.exact(a * c - b * d, a * d + b * c)
         # (a+bi)(c+di): interval products, each factor treated independently
         ac = _imul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
         bd = _imul(self.im_lo, self.im_hi, other.im_lo, other.im_hi)

@@ -14,6 +14,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import count, zip_longest
 
 from .errors import ExtensionLimitExceeded
@@ -346,6 +347,40 @@ def roots_in_tower(p, tower):
     """All roots of p lying in the tower, with multiplicities, sorted by
     numeric enclosure (re, im lexicographic, ascending)."""
     return _linear_roots(factor_over_tower(p, tower), tower)
+
+
+_ODD_PRIMES = [p for p in range(3, 400, 2) if all(p % q for q in range(3, math.isqrt(p) + 1))]
+
+
+def _horner_mod(f, x, p):
+    return reduce(lambda acc, c: (acc * x + c) % p, reversed(f), 0)
+
+
+def _rep_mod(rep, level, gens, p):
+    """phi(rep) in F_p for theta_k -> gens[k - 1]; ValueError where p divides a denominator."""
+    if level == 0:
+        return rep.numerator * pow(rep.denominator, -1, p) % p
+    return _horner_mod([_rep_mod(c, level - 1, gens, p) for c in rep], gens[level - 1], p)
+
+
+def no_eth_root(c, e, tower):
+    """True when a prime p < 400 proves that x^e - c has no root in the
+    tower: each generator goes to a simple root mod p of its minimal
+    polynomial, so p is unramified there (Dedekind's criterion), and a
+    root mu would make phi(c) = phi(mu)^e an e-th power.  False proves nothing."""
+    for p in _ODD_PRIMES:
+        gens = []
+        try:
+            for i, lev in enumerate(tower.levels):
+                f = [_rep_mod(a, i, gens, p) for a in lev.minpoly]
+                gens.append(next(x for x in range(p) if not _horner_mod(f, x, p)
+                                 and _horner_mod([k * a for k, a in enumerate(f)][1:], x, p)))
+            v = _rep_mod(c.rep, c.level, gens, p)
+        except (ValueError, StopIteration):  # p divides a denominator, or no simple root
+            continue
+        if v and pow(v, (p - 1) // math.gcd(e, p - 1), p) != 1:
+            return True
+    return False
 
 
 def _factor_reps(f, tower):

@@ -344,8 +344,10 @@ def _normalize(lam, e, Z, tower, cap):
         return lam, Z, tower
     targets = (one,) if e % 2 == 1 else (one, -one)
     for target in targets:
-        pol = UniPoly([-(target * lam.inverse())] + [_F0] * (e - 1)
-                      + [lift(one, tower)], "x")
+        c = target * lam.inverse()
+        if _factor.no_eth_root(c, e, tower):
+            continue
+        pol = UniPoly([-c] + [_F0] * (e - 1) + [lift(one, tower)], "x")
         roots = _factor.roots_in_tower(pol, tower)
         if roots:
             rho = roots[-1][0]

@@ -1,14 +1,15 @@
 """factor_q against sympy's factorization over Q: the quadratics, and
 Zassenhaus from degree 3 on seeded products, Swinnerton-Dyer
 polynomials and the norms and resultants that classify and critical
-factor; and the linear base case of factor_over_tower against Trager's
-path."""
+factor; the linear base case of factor_over_tower against Trager's
+path; and the residue certificate of no_eth_root against roots_in_tower."""
 
 import io
 import json
 import os
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -264,3 +265,45 @@ def test_critical_set_of_a_pool_curve_takes_no_norm(monkeypatch):
     monkeypatch.setattr(factor, "_norm", counted)
     assert len(critical_set(ode)) > 0
     assert calls == []
+
+
+def _root_of(tower, c, e):
+    """The roots of x^e - c in the tower."""
+    return factor.roots_in_tower(UniPoly([-c] + [F(0)] * (e - 1) + [F(1)], "x"), tower)
+
+
+@pytest.fixture(scope="module")
+def towers():
+    """Q(sqrt(2)) as q2 with generator r2, and Q(sqrt(2))(sqrt(3)) as q23
+    with s2 = sqrt(2) and s3 = sqrt(3)."""
+    q2, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    q23, s3 = adjoin_root(q2, UniPoly([F(-3), F(0), F(1)], "x"), name="sqrt(3)")
+    return SimpleNamespace(q2=q2, r2=r2, q23=q23, s2=lift(r2, q23), s3=s3)
+
+
+# (name, (tower, value), e, certified): a certified value has no e-th
+# root in the tower; the others are e-th powers there, which no prime
+# may certify
+_CERTIFICATE_CASES = [
+    ("3 + 2 sqrt(2) = (1 + sqrt(2))^2", lambda T: (T.q2, 3 + 2 * T.r2), 2, False),
+    # 2 is no square over Q, so a map of the levels up to lam's alone would certify it
+    ("2 over Q(sqrt(2))", lambda T: (T.q2, lift(F(2), T.q2)), 2, False),
+    ("1 + sqrt(2), of norm -1", lambda T: (T.q2, 1 + T.r2), 2, True),
+    ("-1 over the real Q(sqrt(2))", lambda T: (T.q2, lift(F(-1), T.q2)), 2, True),
+    ("2 = sqrt(2)^2, no fourth power", lambda T: (T.q2, lift(F(2), T.q2)), 4, True),
+    ("2, no cube in Q(sqrt(2))", lambda T: (T.q2, lift(F(2), T.q2)), 3, True),
+    ("6 = (sqrt(2) sqrt(3))^2", lambda T: (T.q23, lift(F(6), T.q23)), 2, False),
+    ("3 below the level of sqrt(3)", lambda T: (T.q23, lift(F(3), T.q23)), 2, False),
+    ("(sqrt(2) + sqrt(3))^2", lambda T: (T.q23, (T.s2 + T.s3) * (T.s2 + T.s3)), 2, False),
+    ("-1 over Q(sqrt(2))(sqrt(3))", lambda T: (T.q23, lift(F(-1), T.q23)), 2, True),
+    ("sqrt(2) over Q(sqrt(2))(sqrt(3))", lambda T: (T.q23, T.s2), 2, True),
+    ("sqrt(2) + sqrt(3)", lambda T: (T.q23, T.s2 + T.s3), 2, True),
+]
+
+
+@pytest.mark.parametrize("make, e, certified", [c[1:] for c in _CERTIFICATE_CASES],
+                         ids=[c[0] for c in _CERTIFICATE_CASES])
+def test_residue_certificate(towers, make, e, certified):
+    tower, c = make(towers)
+    assert factor.no_eth_root(c, e, tower) is certified
+    assert bool(_root_of(tower, c, e)) is not certified

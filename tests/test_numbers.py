@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from aodesolve.enclosure import Box, _imul
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
 from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
                               roots_by_factor, roots_in_tower)
@@ -157,6 +158,17 @@ def test_enclosure_refinement_monotone(sqrt2_tower):
     b2 = r2.box(48)
     assert b2.width() <= b1.width()
     assert b1.intersects(b2)
+
+
+def test_point_box_product_equals_the_interval_formula():
+    # Box.__mul__ takes an exact product when both boxes are points
+    rng = random.Random(42)
+    for _ in range(200):
+        a, b, c, d = (F(rng.randint(-60, 60), rng.randint(1, 40)) for _ in range(4))
+        ac, bd, ad, bc = (_imul(x, x, y, y) for x, y in ((a, c), (b, d), (a, d), (b, c)))
+        got = Box.exact(a, b) * Box.exact(c, d)
+        assert (got.re_lo, got.re_hi, got.im_lo, got.im_hi) == (
+            ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
 
 
 def _from_roots(roots):

@@ -12,7 +12,7 @@ from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, separant, univariate_slice
 from aodesolve.puiseux import Place, places_at
 from aodesolve.series import TruncatedSeries, compose, derivative
-from aodesolve import cli, poly, puiseux, solver
+from aodesolve import cli, factor, poly, puiseux, solver
 from aodesolve.solver import (classify, constant_solutions, critical_set,
                               direct_method, is_order_suitable, reparametrize,
                               solve_at)
@@ -325,14 +325,17 @@ def _structure(places):
              p.B[0], p.B[1]) for p in places]
 
 
-@pytest.mark.parametrize("ode", [
+_STRUCTURE_ODES = [
     "(y')^2 - y^3 - y^2",
     "((y'-1)^2 + y^2)^3 - 4*(y'-1)^2*y^2",
     "((y')^2 - 2)^2 - 3*y",
     "(y')^2 - y^7 - 1",
     "y' - y^6",  # ord(B) = 6 at (0, 0), more than mult + deg_z + 2 = 4
     "(y')^3 - y^2",
-])
+]
+
+
+@pytest.mark.parametrize("ode", _STRUCTURE_ODES)
 def test_place_structure_does_not_depend_on_the_order(ode):
     # the Newton polygons fix e, ord(B) and the multiplicity, so order 1
     # reads the same places, in the same order, as order 10, and
@@ -345,6 +348,30 @@ def test_place_structure_does_not_depend_on_the_order(ode):
         deep = places_at(Fp, (p.y, p.z), 10)
         assert _structure(places_at(Fp, (p.y, p.z), 1)) == _structure(deep)
         assert count[id(p)] == sum(map(is_order_suitable, deep))
+
+
+def test_certified_lams_have_no_root_in_their_tower(monkeypatch):
+    # _normalize skips the search for a root of x^e - target/lam only
+    # where the residue certificate holds; at every critical point of the
+    # structure curves, that search must then find nothing
+    real, certified = factor.no_eth_root, []
+
+    def recording(c, e, tower):
+        if real(c, e, tower):
+            certified.append((c, e, tower))
+            return True
+        return False
+
+    monkeypatch.setattr(factor, "no_eth_root", recording)
+    for ode in _STRUCTURE_ODES:
+        Fp = parse_polynomial(ode)
+        for p in critical_set(Fp).plain_points():
+            places_at(Fp, (p.y, p.z), 1)
+    # Ex2 and (y')^2 - y^7 - 1 have irrational lams, ((y')^2 - 2)^2 - 3y rational ones
+    assert len(certified) == 26
+    for c, e, tower in certified:
+        pol = UniPoly([-c] + [F(0)] * (e - 1) + [F(1)], "x")
+        assert factor.roots_in_tower(pol, tower) == []
 
 
 def test_each_critical_point_is_translated_once(ex2, monkeypatch):
