@@ -414,19 +414,26 @@ def adjoin_root(tower, p, name=None, cap=DEFAULT_DEGREE_CAP):
     return extend_by_factor(tower, f, boxes[-1], name=name, cap=cap)
 
 
+def _roots(factors, tower, prec=0):
+    """(factor, multiplicity, root, box) per root of a factor list, in
+    factor order: a linear factor's root lifted into the tower with no
+    box, else one isolating box of width <= 2^-prec per root with no root."""
+    for f, m in factors:
+        if f.degree == 1:
+            yield f, m, -lift(f.coeffs[0], tower), None
+        else:
+            for box in isolate_roots(tower, _factor_reps(f, tower), tower.height,
+                                     min_prec=prec):
+                yield f, m, None, box
+
+
 def roots_by_factor(p, tower, cap=DEFAULT_DEGREE_CAP):
     """All roots of p over the algebraic closure, in factor order;
     [(root, multiplicity)].  A root of a linear factor is homed in the
     tower; each root of a nonlinear factor gets the tower extended by
     that factor, pinned at the root's isolating box."""
-    out = []
-    for f, m in factor_over_tower(p, tower):
-        if f.degree == 1:
-            out.append((-lift(f.coeffs[0], tower), m))
-            continue
-        for box in isolate_roots(tower, _factor_reps(f, tower), tower.height):
-            out.append((extend_by_factor(tower, f, box, cap=cap)[1], m))
-    return out
+    return [(root if box is None else extend_by_factor(tower, f, box, cap=cap)[1], m)
+            for f, m, root, box in _roots(factor_over_tower(p, tower), tower)]
 
 
 def all_roots(p, tower, cap=DEFAULT_DEGREE_CAP):
@@ -444,20 +451,11 @@ def pick_root(p, tower, accept, name=None, cap=DEFAULT_DEGREE_CAP):
     factors = factor_over_tower(p, tower)
     prec = 48
     for _ in range(8):
-        hits = []
-        for f, _ in factors:
-            if f.degree == 1:
-                root = -lift(f.coeffs[0], tower)
-                if accept(root.box(prec), prec):
-                    hits.append((f, None, root))
-                continue
-            for box in isolate_roots(tower, _factor_reps(f, tower), tower.height,
-                                     min_prec=prec):
-                if accept(box, prec):
-                    hits.append((f, box, None))
+        hits = [(f, root, box) for f, _, root, box in _roots(factors, tower, prec)
+                if accept(root.box(prec) if box is None else box, prec)]
         if len(hits) == 1:
-            f, box, root = hits[0]
-            if root is not None:
+            f, root, box = hits[0]
+            if box is None:
                 return tower, root
             return extend_by_factor(tower, f, box, name=name, cap=cap)
         if not hits:

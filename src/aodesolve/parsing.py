@@ -8,7 +8,7 @@ Polynomial grammar (variables y and y', alias z):
     atom   := '-' factor | rational | 'y' | "y'" | 'z' | '(' expr ')'
 
 Initial tuples are two comma-separated scalars; scalars allow the same
-operators plus sqrt(q) and root(<poly in x>, <index>), the index
+operators plus '/', sqrt(q) and root(<poly in x>, <index>), the index
 counting roots in the deterministic enclosure order (1-based).
 """
 
@@ -64,13 +64,18 @@ class _Tokens:
             raise ParseError("expected %r" % op, position=pos)
 
 
-class _PolyParser:
-    """Recursive descent producing BiPoly over Q; ``allowed`` names the
-    variables admitted (y/y'/z for ODEs, x for root() polynomials)."""
+class _Parser:
+    """Recursive descent.  With no tower it builds a BiPoly over Q in the
+    ``allowed`` variables (y/y'/z for ODEs, x for root() polynomials);
+    with a tower it builds tower scalars and also accepts '/', sqrt(q)
+    and root(<poly in x>, <index>), each adjoined to the tower."""
 
-    def __init__(self, tokens, allowed=("y", "y'", "z")):
+    def __init__(self, tokens, allowed=("y", "y'", "z"), tower=None,
+                 cap=_factor.DEFAULT_DEGREE_CAP):
         self.t = tokens
         self.allowed = allowed
+        self.tower = tower
+        self.cap = cap
 
     def parse(self):
         v = self.expr()
@@ -91,12 +96,14 @@ class _PolyParser:
                 return v
 
     def term(self):
+        ops = "*" if self.tower is None else "*/"
         v = self.factor()
         while True:
             kind, val, _ = self.t.peek()
-            if kind == "op" and val == "*":
+            if kind == "op" and val in ops:
                 self.t.next()
-                v = v * self.factor()
+                w = self.factor()
+                v = v * w if val == "*" else v / w
             else:
                 return v
 
@@ -126,109 +133,66 @@ class _PolyParser:
                     raise ParseError("malformed rational literal", position=pos3)
                 return self.const(Fraction(num, den))
             return self.const(Fraction(num))
-        if kind == "yprime":
-            if "y'" not in self.allowed:
-                raise ParseError("y' not allowed here", position=pos)
-            return self.variable("z")
-        if kind == "var":
-            if val in self.allowed:
-                return self.variable(val)
-            raise ParseError("unknown identifier %r" % val, position=pos)
         if kind == "op" and val == "(":
             v = self.expr()
             self.t.expect_op(")")
             return v
+        if self.tower is not None:
+            if kind == "func":
+                return self.function(val, pos)
+            raise ParseError("expected a scalar", position=pos)
+        if kind == "yprime":
+            if "y'" not in self.allowed:
+                raise ParseError("y' not allowed here", position=pos)
+            return BiPoly.variable("z")
+        if kind == "var":
+            if val in self.allowed:
+                # x, the one variable of a root() polynomial, is stored on the y-axis
+                return BiPoly.variable("z" if val == "z" else "y")
+            raise ParseError("unknown identifier %r" % val, position=pos)
         raise ParseError("expected a term", position=pos)
 
     def const(self, q):
-        return BiPoly({(0, 0): q})
+        return BiPoly({(0, 0): q}) if self.tower is None else AlgebraicNumber(self.tower, 0, q)
 
-    def variable(self, name):
-        # x, the one variable of a root() polynomial, is stored on the y-axis
-        return BiPoly.variable("z" if name == "z" else "y")
+    def function(self, name, pos):
+        """sqrt(q) or root(<poly in x>, <index>), its root in the grown tower."""
+        self.t.expect_op("(")
+        if name == "sqrt":
+            v = self.expr()
+            if not v.is_rational():
+                raise ParseError("sqrt expects a rational argument", position=pos)
+            q = v.as_fraction()
+            self.t.expect_op(")")
+            pol = UniPoly([-q, Fraction(0), Fraction(1)], "x")
+            self.tower, root = _factor.adjoin_root(self.tower, pol,
+                                                   name="sqrt(%s)" % q, cap=self.cap)
+            return lift(root, self.tower)
+        polybi = _Parser(self.t, allowed=("x",)).expr()
+        self.t.expect_op(",")
+        k, idx, pos2 = self.t.next()
+        if k != "int" or idx < 1:
+            raise ParseError("root index must be a positive integer", position=pos2)
+        self.t.expect_op(")")
+        pol = UniPoly([], "x") + polybi[0]  # only x parses: polybi is one z^0 column
+        roots = _factor.all_roots(pol, self.tower, cap=self.cap)
+        if idx > len(roots):
+            raise ParseError("root index out of range", position=pos2)
+        root = roots[idx - 1][0]
+        self.tower = root.tower
+        return root
 
 
 def parse_polynomial(text):
     """Parse an ODE polynomial F(y, y')."""
-    tokens = _Tokens(text)
-    return _PolyParser(tokens).parse()
-
-
-class _ScalarParser(_PolyParser):
-    """Scalar expressions over a growing tower."""
-
-    def __init__(self, tokens, tower, cap=_factor.DEFAULT_DEGREE_CAP):
-        super().__init__(tokens, allowed=())
-        self.tower = tower
-        self.cap = cap
-
-    def const(self, q):
-        return AlgebraicNumber(self.tower, 0, q)
-
-    def atom(self):
-        kind, val, pos = self.t.peek()
-        if kind == "func":
-            self.t.next()
-            self.t.expect_op("(")
-            if val == "sqrt":
-                v = self.expr()
-                if not (isinstance(v, AlgebraicNumber) and v.is_rational()):
-                    raise ParseError("sqrt expects a rational argument", position=pos)
-                q = v.as_fraction()
-                self.t.expect_op(")")
-                pol = UniPoly([-q, Fraction(0), Fraction(1)], "x")
-                self.tower, root = _factor.adjoin_root(self.tower, pol,
-                                                       name="sqrt(%s)" % q,
-                                                       cap=self.cap)
-                return lift(root, self.tower)
-            # root(<poly in x>, <index>)
-            sub = _PolyParser(self.t, allowed=("x",))
-            polybi = sub.expr()
-            self.t.expect_op(",")
-            k, idx, pos2 = self.t.next()
-            if k != "int" or idx < 1:
-                raise ParseError("root index must be a positive integer",
-                                 position=pos2)
-            self.t.expect_op(")")
-            pol = UniPoly([], "x") + polybi[0]  # only x parses: polybi is one z^0 column
-            roots = _factor.all_roots(pol, self.tower, cap=self.cap)
-            if idx > len(roots):
-                raise ParseError("root index out of range", position=pos2)
-            root = roots[idx - 1][0]
-            self.tower = root.tower
-            return root
-        kind, val, pos = self.t.next()
-        if kind == "op" and val == "-":
-            return -self.factor()
-        if kind == "int":
-            self.t.i -= 1
-            return _PolyParser.atom(self)
-        if kind == "op" and val == "(":
-            v = self.expr()
-            self.t.expect_op(")")
-            return v
-        raise ParseError("expected a scalar", position=pos)
-
-    def term(self):
-        v = self.factor()
-        while True:
-            kind, val, _ = self.t.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.t.next()
-                w = self.factor()
-                v = v * w if val == "*" else v / w
-            else:
-                return v
+    return _Parser(_Tokens(text)).parse()
 
 
 def parse_initial_tuple(text, tower=QQ, cap=_factor.DEFAULT_DEGREE_CAP):
     """Parse "c0, c1" into a pair of tower values (plus the tower)."""
     tokens = _Tokens(text)
-    p = _ScalarParser(tokens, tower, cap=cap)
+    p = _Parser(tokens, tower=tower, cap=cap)
     c0 = p.expr()
     tokens.expect_op(",")
-    c1 = p.expr()
-    kind, _, pos = tokens.peek()
-    if kind != "eof":
-        raise ParseError("trailing input", position=pos)
+    c1 = p.parse()
     return lift(c0, p.tower), lift(c1, p.tower), p.tower

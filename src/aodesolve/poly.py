@@ -439,7 +439,8 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     of the z^0 column of an input free of z; each z-coordinate is a root
     of the gcd of the two slices at y0, and a constant resultant or gcd
     has no roots.  Every coordinate lives in a (possibly extended)
-    tower.  Deterministic order by numeric enclosures.
+    tower.  Roots come in factor order, and one stable sort by the
+    numeric enclosures of (y, z) orders the points.
     """
     from . import factor
 
@@ -452,13 +453,13 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
         # one input free of z: its z^0 column gives the y-coordinates
         ry = F.coeffs[0] if F.deg_z == 0 else G.coeffs[0]
     points = []
-    for y0, _m in factor.all_roots(ry, QQ, cap):
+    for y0, _m in factor.roots_by_factor(ry, QQ, cap):
         fz = univariate_slice(F, "z", y0)
         gz = univariate_slice(G, "z", y0)
         if fz.is_zero() and gz.is_zero():
             raise CommonComponent("vertical line is a common component")
         # a zero slice leaves the other one made monic; roots come once each
-        for z0, _m2 in factor.all_roots(uni_gcd(fz, gz), y0.tower, cap):
+        for z0, _m2 in factor.roots_by_factor(uni_gcd(fz, gz), y0.tower, cap):
             points.append(Point(lift(y0, z0.tower), z0))
     points.sort(key=lambda p: p.sort_key())
     return points

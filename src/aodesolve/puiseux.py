@@ -138,16 +138,13 @@ def _regular_tail(H, n):
     to n+1 coefficients by Newton iteration; requires dH/dz(0,0) != 0.
     A step takes P, right to t^(k-1), to P - H(t, P) / H_z(t, P), right
     to t^m with m = min(2k, n + 1) - 1.  H(t, P) = O(t^k), so it is
-    evaluated to order m and H_z(t, P) only to order m - k; each is a
-    Horner in z on the columns of H read as series in t.
+    evaluated to order m and H_z(t, P) only to order m - k; each is
+    UniPoly.eval, a Horner in z, on the columns of H read as series in t.
     It comes back exact when those coefficients solve H exactly; an
     identity holds at every point, so one nonzero H(1/3, P(1/3)) rules
     that out without the series check."""
-    def at(F, P, m):
-        acc = 0 * P
-        for col in reversed(F.coeffs):
-            acc = acc * P + TruncatedSeries(col.coeffs, m)
-        return acc
+    def at(F, P, m):  # a truncated column never equals 0, so none is trimmed
+        return UniPoly([TruncatedSeries(col.coeffs, m) for col in F.coeffs]).eval(P)
 
     Hz = H.diff_z()
     coeffs = [_F0]
@@ -307,7 +304,8 @@ def places_at(F, center, n, cap=_factor.DEFAULT_DEGREE_CAP):
         pl = Place((lift(c0, tw), lift(c1, tw)), e, lam, B(n), tw, mult)
         pl.tail = B
         places.append(pl)
-    places.sort(key=_place_sort_key)
+    if len(places) > 1:  # a lone place needs no sort key
+        places.sort(key=_place_sort_key)
     for idx, pl in enumerate(places):
         pl.place_id = "p%d" % idx
     total = sum(p.order for p in places)

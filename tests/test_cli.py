@@ -43,6 +43,10 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as exc:
         parse_polynomial("y -")
     assert exc.value.position == 3
+    # sqrt and root are scalar functions, not terms of an ODE polynomial
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("y + sqrt(2)")
+    assert str(exc.value) == "expected a term" and exc.value.position == 4
 
 
 def test_parse_unknown_identifier():
@@ -66,6 +70,10 @@ def test_parse_tuple_sqrt():
     assert c0 == 1
     assert (c1 * c1) == 2
     assert c1.box(20).re_lo > 0
+    # '/' divides scalars, and a parenthesised factor multiplies sqrt
+    c0, c1, tower = parse_initial_tuple("(1 + 1)/2, (3 - 1)*sqrt(2)")
+    assert c0 == 1
+    assert (c1 * c1) == 8 and c1.box(20).re_lo > 0
 
 
 def test_parse_tuple_root_indexing():
@@ -84,8 +92,9 @@ def test_parse_tuple_root_out_of_range():
 def test_parse_tuple_errors():
     with pytest.raises(ParseError):
         parse_initial_tuple("1")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_initial_tuple("y, 1")
+    assert str(exc.value) == "expected a scalar" and exc.value.position == 0
 
 
 @pytest.mark.parametrize("text, message, position", [

@@ -98,6 +98,22 @@ def test_modules_import_only_lower_layers():
     assert found == UPWARD_IMPORTS
 
 
+# the total that `wc -l src/aodesolve/*.py` prints; a change that moves it
+# updates this number and says why in CHANGES.md
+SRC_LINES = 3588
+
+
+def test_src_line_count_is_pinned():
+    """The package's line count is a number in the tests, like the CLI's
+    option slots, so growth or shrinkage is a visible, explained edit."""
+    total = 0
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                total += fh.read().count("\n")
+    assert total == SRC_LINES
+
+
 # Runs in a child because tracer.install() patches the package in place.
 _BINDINGS_PROBE = r"""
 import importlib, json

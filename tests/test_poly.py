@@ -624,6 +624,37 @@ def test_resultant_against_sympy_oracle():
         done += 1
 
 
+def test_resultant_sign_when_the_lower_degree_comes_first():
+    """resultant_lists swaps its operands when the first has the lower
+    degree, and the swap flips the sign when the degree product is odd.
+    The oracle is the Sylvester determinant: sympy 1.14's resultant gives
+    b - a^3 for Res_z(z - a, z^3 - b), whose determinant is a^3 - b."""
+    import sympy
+
+    y, z = sympy.symbols("y z")
+
+    def sylvester_det(ea, eb):
+        a, b = sympy.Poly(ea, z).all_coeffs(), sympy.Poly(eb, z).all_coeffs()
+        m, n = len(a) - 1, len(b) - 1
+        rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+        rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+        return sympy.Poly(sympy.expand(sympy.Matrix(rows).det()), y)
+
+    A = BiPoly({(0, 1): F(1), (1, 0): F(1)})                  # z + y
+    B = BiPoly({(0, 3): F(1), (1, 1): F(-1), (0, 0): F(2)})   # z^3 - y z + 2
+    assert resultant_z(A, B) == UniPoly([F(2), F(0), F(1), F(-1)], "y")
+    rng = random.Random(5)
+
+    def rnd(d):  # degree d in z with a constant leading coefficient, deg_y <= 2
+        terms = {(i, j): F(rng.randint(-3, 3)) for i in range(3) for j in range(d)}
+        terms[(0, d)] = F(rng.randint(1, 3))
+        return BiPoly(terms)
+
+    for lo, hi in [(A, B)] + [(rnd(1), rnd(3)) for _ in range(5)]:
+        ref = sylvester_det(_sympy_bipoly(lo)[0], _sympy_bipoly(hi)[0])
+        assert list(resultant_z(lo, hi).coeffs) == [F(int(c)) for c in reversed(ref.all_coeffs())]
+
+
 def test_point_equality_cross_towers():
     _, a1 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
     _, a2 = adjoin_root(QQ, UniPoly([F(-8), F(0), F(0), F(0), F(1)], "x"))

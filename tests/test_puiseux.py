@@ -13,8 +13,8 @@ from aodesolve.parsing import parse_initial_tuple, parse_polynomial
 from aodesolve.poly import BiPoly, UniPoly, multiplicity_at, translate
 from aodesolve.puiseux import (default_bound, newton_polygon, places_at,
                                ramification_kind, tangent_vector)
-from aodesolve.series import TruncatedSeries
-from aodesolve.solver import critical_set
+from aodesolve.series import TruncatedSeries, derivative
+from aodesolve.solver import critical_set, solve_at
 from conftest import make_ex1, make_ex2, make_ex3
 
 
@@ -265,6 +265,32 @@ def test_place_normalization_rational_rescale():
     p = pls[0]
     assert p.e == 2 and p.lam == 1
     assert _frac(p.B[1]) == 2 and _frac(p.B[3]) == F(1, 4)
+
+
+def test_place_normalization_odd_e_negative_lam():
+    # (y')^3 + 2y^2 at the origin: the leaf has y = -2 t^3, a negative
+    # rational lam with e odd, so _normalize takes rho = -1/(2)^(1/3),
+    # the negated real cube root, giving A = t^3 and B = -(2)^(1/3) t^2
+    Fo = parse_polynomial("(y')^3 + 2*y^2")
+    pls = places_at(Fo, (F(0), F(0)), 6)
+    assert len(pls) == 1
+    p = pls[0]
+    assert p.e == 3 and p.lam == 1 and list(p.A.coeffs) == [F(0), F(0), F(0), F(1)]
+    assert p.B[0] == 0 and p.B[1] == 0 and p.B[2] ** 3 == -2
+    assert p.tower.height == 1
+    box = p.tower.generator(0).box(20)
+    assert box.re_lo > 0 and box.im_lo <= 0 <= box.im_hi
+    sols = solve_at(Fo, (F(0), F(0)), 6)
+    assert [s.series.render() for s in sols] == ["-2/27*t^3 + O(t^7)"]
+    # B above has only an even power of t, so the sign of rho shows only
+    # once a y^3 term puts t^5 into B: F must vanish up to the truncation
+    for ode in ("(y')^3 + 2*y^2", "(y')^3 + 2*y^2 + 2*y^3"):
+        Fo = parse_polynomial(ode)
+        for p in places_at(Fo, (F(0), F(0)), 8):
+            assert Fo.eval_series(p.A, p.B).order() is None
+        for sol in solve_at(Fo, (F(0), F(0)), 8):
+            s = sol.series
+            assert Fo.eval_series(s, derivative(s)).order() is None
 
 
 def test_y_ramification_kind():
