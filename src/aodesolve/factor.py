@@ -301,7 +301,7 @@ def _norm(p, tower):
     bpolys = [UniPoly(col, p.var) for col in cols]
     apolys = [UniPoly([AlgebraicNumber(sub, h - 1, r)], p.var)
               for r in tower.levels[-1].minpoly]
-    return resultant_lists(apolys, bpolys, p.var), sub
+    return resultant_lists(apolys, bpolys, p.var)[0], sub
 
 
 def _trager_irreducible(g, tower):

@@ -175,11 +175,13 @@ def _prem(A, B):
 
 
 def resultant_lists(A, B, var):
-    """Resultant via the subresultant PRS (Cohen, Alg. 3.3.7)."""
+    """Resultant via the subresultant PRS (Cohen, Alg. 3.3.7), and the
+    PRS member of degree 1 as [c0, c1], or None when the chain has none.
+    Each member is +-a subresultant, so U A + V B with U, V in K[var][z]."""
     A = _ptrim(list(A))
     B = _ptrim(list(B))
     if not A or not B:
-        return UniPoly([], var)
+        return UniPoly([], var), None
     s = 1
     if len(A) < len(B):
         if ((len(A) - 1) * (len(B) - 1)) % 2 == 1:
@@ -188,8 +190,11 @@ def resultant_lists(A, B, var):
     one = UniPoly([_F1], var)
     g = one
     h = one
+    s1 = None
     while True:
         dA, dB = len(A) - 1, len(B) - 1
+        if dB == 1:
+            s1 = B
         if dB == 0:
             break
         delta = dA - dB
@@ -197,7 +202,7 @@ def resultant_lists(A, B, var):
             s = -s
         R = _prem(A, B)
         if not R:
-            return UniPoly([], var)
+            return UniPoly([], var), s1
         A, B = B, R
         denom = g * h ** delta
         B = [c.exact_div(denom) for c in B]
@@ -208,13 +213,12 @@ def resultant_lists(A, B, var):
         elif delta > 1:
             h = (g ** delta).exact_div(h ** (delta - 1))
     dA = len(A) - 1
-    b = B[0]
-    if dA == 0:
-        return one if s == 1 else -one
-    res = b ** dA
-    if dA > 1:
-        res = res.exact_div(h ** (dA - 1))
-    return res if s == 1 else -res
+    res = one
+    if dA > 0:
+        res = B[0] ** dA
+        if dA > 1:
+            res = res.exact_div(h ** (dA - 1))
+    return (res if s == 1 else -res), s1
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +375,9 @@ def multiplicity_at(F, point):
     return G.min_total_degree()
 
 
-def resultant_z(F, G):
-    """Resultant eliminating z; a UniPoly in y."""
-    return resultant_lists(F.coeffs, G.coeffs, "y")
-
-
 def _content_z(F):
     """gcd over K[y] of the z-coefficients; 0 for the zero F."""
     return reduce(uni_gcd, F.coeffs, UniPoly([], "y"))
-
-
-def _shared_factor(F, G):
-    """(whether F and G share a nonconstant factor, Res_z(F, G) when the
-    test needed it, else None).  A shared factor free of z divides both
-    z-contents; any other one makes Res_z(F, G) vanish.  The resultant is
-    skipped when F or G is a nonzero polynomial free of z: then the
-    content test alone decides."""
-    if not uni_gcd(_content_z(F), _content_z(G)).is_constant():
-        return True, None
-    if F.deg_z == 0 or G.deg_z == 0:
-        return False, None
-    ry = resultant_z(F, G)
-    return ry.is_zero(), ry
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +387,12 @@ def _shared_factor(F, G):
 class Point:
     """A point of the affine (y, z)-plane with tower coordinates."""
 
-    __slots__ = ("y", "z")
+    __slots__ = ("y", "z", "_key")
 
     def __init__(self, y, z):
         self.y = as_alg(y)
         self.z = as_alg(z)
+        self._key = None
 
     def __iter__(self):
         return iter((self.y, self.z))
@@ -422,7 +408,11 @@ class Point:
     __hash__ = None
 
     def sort_key(self):
-        return self.y.sort_key() + self.z.sort_key()
+        """The enclosure key of (y, z), computed once: critical_set sorts
+        the points that solve_system has sorted."""
+        if self._key is None:
+            self._key = self.y.sort_key() + self.z.sort_key()
+        return self._key
 
     def __repr__(self):
         return "(%s, %s)" % (self.y, self.z)
@@ -431,36 +421,64 @@ class Point:
         return [self.y.to_json(), self.z.to_json()]
 
 
+def _s1_root(y0, lc, s1):
+    """-c0(y0)/c1(y0) for the PRS member s1 = [c0, c1] of Res_z(A, B)
+    with lc = lc_z A; None where s1 is None, lc(y0) = 0 or c1(y0) = 0.
+    At a root y0 of Res_z with lc(y0) != 0 the slices share a root, and
+    their gcd divides s1(y0) = U(y0) A(y0) + V(y0) B(y0), so it is
+    s1(y0) / c1(y0) when that is linear."""
+    if s1 is None or lc.eval(y0) == 0:
+        return None
+    c1 = s1[1].eval(y0)
+    return None if c1 == 0 else -s1[0].eval(y0) / c1
+
+
 def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     """All common affine zeros of F and G over the algebraic closure.
 
-    A common factor is found by one content test plus Res_z(F, G) (see
-    _shared_factor).  The y-coordinates are the roots of Res_z(F, G), or
-    of the z^0 column of an input free of z; each z-coordinate is a root
-    of the gcd of the two slices at y0, and a constant resultant or gcd
-    has no roots.  Every coordinate lives in a (possibly extended)
-    tower.  Roots come in factor order, and one stable sort by the
-    numeric enclosures of (y, z) orders the points.
+    A shared factor free of z divides both z-contents; any other one
+    makes Res_z(F, G) vanish, which is skipped when F or G is a nonzero
+    polynomial free of z.  The y-coordinates are the roots of Res_z, or
+    of the z^0 column of the input free of z.  The z-coordinates at y0
+    are the roots of the gcd of the two slices there: z + c0(y0)/c1(y0)
+    from the degree-1 member of Res_z's subresultant chain where
+    _s1_root allows it, computed once per factor of Res_z since
+    conjugate y0 share its rep, else Euclid on the slices.  A constant
+    resultant or gcd has no roots.  Every coordinate lives in a
+    (possibly extended) tower.  Roots come in factor order, and one
+    stable sort by the numeric enclosures of (y, z) orders the points.
     """
     from . import factor
 
-    shared, ry = _shared_factor(F, G)
+    shared = not uni_gcd(_content_z(F), _content_z(G)).is_constant()
+    ry = s1 = None
+    if not shared and F.deg_z != 0 and G.deg_z != 0:
+        ry, s1 = resultant_lists(F.coeffs, G.coeffs, "y")
+        shared = ry.is_zero()
     if shared:
         raise CommonComponent("system has a common nonconstant factor")
     if G.is_zero():
         raise CommonComponent("zero polynomial shares every component")
     if ry is None:
-        # one input free of z: its z^0 column gives the y-coordinates
         ry = F.coeffs[0] if F.deg_z == 0 else G.coeffs[0]
+    lc = (F if F.deg_z >= G.deg_z else G).coeffs[-1]
+    s1_roots = {}   # y0's minimal polynomial (or y0 itself) -> its _s1_root
     points = []
     for y0, _m in factor.roots_by_factor(ry, QQ, cap):
-        fz = univariate_slice(F, "z", y0)
-        gz = univariate_slice(G, "z", y0)
-        if fz.is_zero() and gz.is_zero():
-            raise CommonComponent("vertical line is a common component")
-        # a zero slice leaves the other one made monic; roots come once each
-        for z0, _m2 in factor.roots_by_factor(uni_gcd(fz, gz), y0.tower, cap):
-            points.append(Point(lift(y0, z0.tower), z0))
+        key = y0.tower.levels[-1].minpoly if y0.level else y0
+        if key not in s1_roots:
+            s1_roots[key] = _s1_root(y0, lc, s1)
+        z0 = s1_roots[key]
+        if z0 is not None:
+            zs = [AlgebraicNumber(y0.tower, z0.level, z0.rep)]
+        else:
+            fz = univariate_slice(F, "z", y0)
+            gz = univariate_slice(G, "z", y0)
+            if fz.is_zero() and gz.is_zero():
+                raise CommonComponent("vertical line is a common component")
+            # a zero slice leaves the other one made monic; roots come once each
+            zs = [z for z, _m2 in factor.roots_by_factor(uni_gcd(fz, gz), y0.tower, cap)]
+        points += [Point(lift(y0, z.tower), z) for z in zs]
     points.sort(key=lambda p: p.sort_key())
     return points
 

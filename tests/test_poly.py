@@ -6,14 +6,19 @@ import pytest
 
 from aodesolve.errors import (CommonComponent, NoDerivative, NotIrreducible,
                               PointNotOnCurve, TrivialLinear)
-from aodesolve.factor import adjoin_root, alg_eq
-from aodesolve.numbers import QQ
-from aodesolve.poly import (BiPoly, UniPoly, multiplicity_at,
-                            resultant_z, ruppert_factor_count, separant,
-                            solve_system, translate, univariate_slice,
+from aodesolve.factor import adjoin_root, alg_eq, roots_by_factor
+from aodesolve.numbers import QQ, AlgebraicNumber, as_alg
+from aodesolve.poly import (BiPoly, Point, UniPoly, multiplicity_at,
+                            resultant_lists, ruppert_factor_count, separant,
+                            solve_system, translate, uni_gcd, univariate_slice,
                             validate_input)
 from aodesolve.series import TruncatedSeries
 from conftest import make_ex1, make_ex2
+
+
+def resultant_z(A, B):
+    """Res_z(A, B), a UniPoly in y."""
+    return resultant_lists(A.coeffs, B.coeffs, "y")[0]
 
 
 def _sympy_bipoly(B):
@@ -502,9 +507,9 @@ def test_solve_system_computes_the_resultant_once(ex2, monkeypatch):
     calls = []
     real = poly.resultant_lists
 
-    def counted(A, B, var):
-        calls.append(var)
-        return real(A, B, var)
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
 
     monkeypatch.setattr(poly, "resultant_lists", counted)
     assert len(solve_system(ex2, separant(ex2))) > 0
@@ -565,6 +570,80 @@ def test_solve_system_edge_inputs():
             assert abs(gy - wy) < 1e-9 and abs(gz - wz) < 1e-9, (Fp, Gp)
         for p in pts:
             assert Fp.eval(p.y, p.z).is_zero() and Gp.eval(p.y, p.z).is_zero()
+
+
+def _pool_curve(i):
+    """perfbench's critical_random pool curve i (0 <= i < 12)."""
+    return _random_curve(random.Random("critical_pool:%d" % i))
+
+
+def test_slice_gcds_from_the_subresultant_chain_match_euclid(ex1, ex2, monkeypatch):
+    """At every root y0 of Res_z(F, S_F), poly._s1_root gives the root of
+    Euclid's monic gcd of the slices, which must be linear, or declines
+    with None.  Euclid runs at the first root of each factor of Res_z:
+    both routes are exact, so the gcd has the same reps at every
+    conjugate root.  The forced declines are: the root of lc_z F on each
+    pool curve, where the gcd is constant; Ex2's gcds of degree 5 at
+    y0 = 0 and 2 at its two conjugate points; and (y')^3 + y, whose
+    chain runs 3, 2, 0, with the gcd z^2 at y0 = 0.  solve_system takes
+    the route: it slices nothing on Ex1, and F and S_F once each on
+    (y')^3 + y, for their Euclid."""
+    from aodesolve import poly
+
+    cubic = BiPoly({(0, 3): F(1), (1, 0): F(1)})
+    hits, declines = 0, []
+    for Fc in [_pool_curve(i) for i in range(12)] + [ex2, cubic]:
+        S, lc = separant(Fc), Fc.coeffs[-1]
+        ry, s1 = resultant_lists(Fc.coeffs, S.coeffs, "y")
+        euclid = {}
+        for y0, _m in roots_by_factor(ry, QQ):
+            key = y0.tower.levels[-1].minpoly if y0.level else y0
+            if key not in euclid:
+                euclid[key] = uni_gcd(univariate_slice(Fc, "z", y0), univariate_slice(S, "z", y0))
+            g = euclid[key]
+            z0 = poly._s1_root(y0, lc, s1)
+            if z0 is None:
+                declines.append((lc.eval(y0) == 0, s1 is None, g.degree))
+                continue
+            hits += 1
+            w = as_alg(-g.coeffs[0])
+            assert g.degree == 1 and (z0.level, z0.rep) == (w.level, w.rep)
+    assert hits == 120
+    assert declines == [(True, False, 0)] * 12 + [
+        (False, False, 5), (False, False, 2), (False, False, 2), (False, True, 2)]
+
+    slices = []
+    real = poly.univariate_slice
+
+    def counted(Fc, axis, v):
+        slices.append(axis)
+        return real(Fc, axis, v)
+
+    monkeypatch.setattr(poly, "univariate_slice", counted)
+    assert [p.to_json() for p in solve_system(ex1, separant(ex1))] == [
+        [as_alg(F(c)).to_json(), as_alg(F(0)).to_json()] for c in (-1, 0)]
+    assert slices == []
+    assert solve_system(cubic, separant(cubic)) == [Point(0, 0)]
+    assert slices == ["z", "z"]
+
+
+def test_critical_set_keys_each_point_once(monkeypatch):
+    """critical_set sorts the points that solve_system has sorted, and
+    each Point keeps its key, so on pool curve 0 every point's z gets
+    one enclosure key, from its Point key alone."""
+    from aodesolve.solver import critical_set
+
+    keyed = []
+    real = AlgebraicNumber.sort_key
+
+    def spy(self, prec=64):
+        keyed.append(self)
+        return real(self, prec)
+
+    monkeypatch.setattr(AlgebraicNumber, "sort_key", spy)
+    points = critical_set(_pool_curve(0)).plain_points()
+    assert len(points) == 14
+    assert [sum(x is p.z for x in keyed) for p in points] == [1] * len(points)
 
 
 def test_solve_system_bezout_bound_random():
