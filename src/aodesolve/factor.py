@@ -21,6 +21,7 @@ from .errors import ExtensionLimitExceeded
 from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
                       common_tower, isolate_roots, level_box, lift, rational, rep_lift)
 from .poly import BiPoly, UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
+from .series import horner
 
 _F1 = Fraction(1)
 
@@ -528,7 +529,5 @@ def _map_rep(rep, level, imgs, target):
     """Evaluate a source-tower rep through generator images in target."""
     if level == 0:
         return AlgebraicNumber(target, 0, Fraction(rep))
-    if not isinstance(rep, tuple):
-        rep = (rep,) if rep else ()
     mapped = [_map_rep(c, level - 1, imgs, target) for c in rep]
-    return lift(UniPoly(mapped).eval(imgs[level - 1]), target)
+    return lift(horner(mapped, imgs[level - 1]), target)

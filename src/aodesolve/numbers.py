@@ -179,8 +179,6 @@ def _rep_div(tower, level, a, b):
 
 
 def _poly_mul(tower, level, p, q):
-    if not p or not q:
-        return []
     out = [rep_zero(level)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if rep_is_zero(a):
@@ -198,14 +196,10 @@ def _poly_divmod(tower, level, num, den):
     if not den:
         raise DivisionByZero("polynomial division by zero")
     dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        return [], num
     inv_lc = rep_inv(tower, level, den[-1])
     quot = [rep_zero(level)] * (dn - dd + 1)
     rem = num
     for i in range(dn - dd, -1, -1):
-        if len(rem) < dd + i + 1:
-            continue
         c = rem[dd + i]
         if rep_is_zero(c):
             continue
@@ -426,36 +420,23 @@ class AlgebraicNumber:
     def __bool__(self):
         return not self.is_zero()
 
-    # -- coercion -----------------------------------------------------
-
-    @staticmethod
-    def _as_scalar(x, tower):
-        if isinstance(x, AlgebraicNumber):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return AlgebraicNumber(tower, 0, Fraction(x))
-        return None
-
-    def _pair(self, other):
-        o = AlgebraicNumber._as_scalar(other, self.tower)
-        if o is None:
-            return None
-        t = common_tower(self.tower, o.tower)
-        if t is None:
-            raise ArithmeticError("values live in incompatible towers")
-        return self, o, t
-
     # -- arithmetic ---------------------------------------------------
 
     def _binop(self, other, fn):
-        pair = self._pair(other)
-        if pair is None:
+        """fn on the reps of self and other lifted to the higher level;
+        a rational other is read as a level-0 rep in self's tower."""
+        if isinstance(other, AlgebraicNumber):
+            tower = common_tower(self.tower, other.tower)
+            if tower is None:
+                raise ArithmeticError("values live in incompatible towers")
+            lo, ro = other.level, other.rep
+        elif isinstance(other, (int, Fraction)):
+            tower, lo, ro = self.tower, 0, Fraction(other)
+        else:
             return NotImplemented
-        a, b, tower = pair
-        k = max(a.level, b.level)
-        ra = rep_lift(a.rep, a.level, k)
-        rb = rep_lift(b.rep, b.level, k)
-        return AlgebraicNumber(tower, k, fn(tower, k, ra, rb))
+        k = max(self.level, lo)
+        return AlgebraicNumber(tower, k, fn(tower, k, rep_lift(self.rep, self.level, k),
+                                            rep_lift(ro, lo, k)))
 
     def __add__(self, other):
         return self._binop(other, rep_add)
@@ -478,10 +459,9 @@ class AlgebraicNumber:
         return self._binop(other, _rep_div)
 
     def __rtruediv__(self, other):
-        o = AlgebraicNumber._as_scalar(other, self.tower)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o.__truediv__(self)
+        return AlgebraicNumber(self.tower, 0, Fraction(other)) / self
 
     def __neg__(self):
         return AlgebraicNumber(self.tower, self.level,
@@ -606,8 +586,6 @@ def render_rep(tower, level, rep):
             if "+" in cs[1:] or "-" in cs[1:] or " " in cs:
                 cs = "(%s)" % cs
             parts.append("%s*%s" % (cs, mono))
-    if not parts:
-        return "0"
     out = parts[0]
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -667,6 +645,24 @@ def common_tower_of(values):
             if t is None:
                 raise ArithmeticError("values live in incompatible towers")
     return t
+
+
+def orbit_key(*values):
+    """The values as elements of an abstract field, free of their
+    embedding: the minimal polynomials of their common tower's levels up
+    to the highest level among them, and (level, rep) of each value.
+
+    Every level's minpoly is irreducible over the levels below (each
+    Level comes from a factor_over_tower factor), so the minpolys define
+    one field K = Q[a1..ak]/(m1, m2, ...), and two tuples with one key
+    are the images of one tuple in K under two embeddings sigma, tau.
+    tau o sigma^-1 extends to an element of Gal(Q-bar/Q): conjugate
+    roots of one factor of a polynomial over Q share a key, and a point
+    of a curve with rational coefficients carries the same places, e,
+    ord(B) and position on z = 0 as every point with its key.
+    """
+    levels = common_tower_of(values).levels[:max(v.level for v in values)]
+    return (tuple(lev.minpoly for lev in levels),) + tuple((v.level, v.rep) for v in values)
 
 
 def power(x, n, one):

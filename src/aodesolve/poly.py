@@ -15,8 +15,9 @@ from functools import lru_cache, reduce
 
 from .errors import (CommonComponent, NoDerivative, NotIrreducible,
                      PointNotOnCurve, TrivialLinear)
-from .numbers import DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, rational
-from .series import TruncatedSeries, derivative as _derivative, join_terms
+from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, as_alg, inv, lift, orbit_key,
+                      rational)
+from .series import TruncatedSeries, derivative as _derivative, horner, join_terms
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -94,16 +95,8 @@ class UniPoly(TruncatedSeries):
     derivative = _derivative  # the series rule; _like keeps the UniPoly
 
     def eval(self, x, trunc=None):
-        """p(x) by Horner's rule; x may be a scalar, a UniPoly, a BiPoly
-        or a TruncatedSeries.  The zero polynomial evaluates to 0 * x.
-        With trunc, each step is cut to that order, so no intermediate
-        of a series x is certified past it."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-            if trunc is not None and acc.trunc is not None and acc.trunc > trunc:
-                acc = acc.truncate(trunc)
-        return acc
+        """p(x) by series.horner, with its types and its cut at trunc."""
+        return horner(self.coeffs, x, trunc)
 
     def render(self, var=None):
         return TruncatedSeries.render(self, var or self.var)
@@ -299,13 +292,9 @@ class BiPoly(TruncatedSeries):
     diff_z = _derivative  # the series rule in z; _like keeps the BiPoly
 
     def eval(self, y, z):
-        """F(y, z) by Horner's rule in z over the columns; y and z may be
-        scalars, TruncatedSeries or BiPoly.  The zero polynomial
-        evaluates to 0 * z."""
-        acc = 0 * z
-        for cy in reversed(self.coeffs):
-            acc = acc * z + cy.eval(y)
-        return acc
+        """F(y, z): series.horner in z on the columns evaluated at y; y
+        and z may be scalars, TruncatedSeries or BiPoly."""
+        return horner([cy.eval(y) for cy in self.coeffs], z)
 
     # series callers use this name, and perfbench/tracer.py times it as
     # a row of its own
@@ -363,7 +352,7 @@ def univariate_slice(F, axis, v):
     """Fix one variable: axis="y" fixes z=v giving a poly in y,
     axis="z" fixes y=v giving a poly in z."""
     # the sum relabels the result to the axis, also the 0 * v of the zero F
-    return UniPoly([], axis) + UniPoly(F.columns(axis)).eval(v)
+    return UniPoly([], axis) + horner(F.columns(axis), v)
 
 
 def multiplicity_at(F, point):
@@ -462,10 +451,10 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
     if ry is None:
         ry = F.coeffs[0] if F.deg_z == 0 else G.coeffs[0]
     lc = (F if F.deg_z >= G.deg_z else G).coeffs[-1]
-    s1_roots = {}   # y0's minimal polynomial (or y0 itself) -> its _s1_root
+    s1_roots = {}   # orbit_key(y0) -> its _s1_root
     points = []
     for y0, _m in factor.roots_by_factor(ry, QQ, cap):
-        key = y0.tower.levels[-1].minpoly if y0.level else y0
+        key = orbit_key(y0)
         if key not in s1_roots:
             s1_roots[key] = _s1_root(y0, lc, s1)
         z0 = s1_roots[key]
@@ -474,8 +463,6 @@ def solve_system(F, G, cap=DEFAULT_DEGREE_CAP):
         else:
             fz = univariate_slice(F, "z", y0)
             gz = univariate_slice(G, "z", y0)
-            if fz.is_zero() and gz.is_zero():
-                raise CommonComponent("vertical line is a common component")
             # a zero slice leaves the other one made monic; roots come once each
             zs = [z for z, _m2 in factor.roots_by_factor(uni_gcd(fz, gz), y0.tower, cap)]
         points += [Point(lift(y0, z.tower), z) for z in zs]
@@ -547,8 +534,6 @@ def ruppert_factor_count(F):
     f = {k: int(rational(c) * den) for k, c in F.terms.items()}
 
     def add(row_key, col, val):
-        if val == 0:
-            return
         r = rows.setdefault(row_key, {})
         r[col] = r.get(col, 0) + val
         if r[col] == 0:

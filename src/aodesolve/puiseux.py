@@ -22,7 +22,7 @@ from .errors import DegenerateInput, InsufficientPrecision, PointNotOnCurve
 from .numbers import (AlgebraicNumber, as_alg, common_tower, common_tower_of, lift,
                       scalar_json)
 from .poly import BiPoly, UniPoly, translate
-from .series import TruncatedSeries, compose, invert
+from .series import TruncatedSeries, compose, horner, invert
 from . import factor as _factor
 
 _F0 = Fraction(0)
@@ -139,12 +139,12 @@ def _regular_tail(H, n):
     A step takes P, right to t^(k-1), to P - H(t, P) / H_z(t, P), right
     to t^m with m = min(2k, n + 1) - 1.  H(t, P) = O(t^k), so it is
     evaluated to order m and H_z(t, P) only to order m - k; each is
-    UniPoly.eval, a Horner in z, on the columns of H read as series in t.
+    series.horner in z on the columns of H read as series in t.
     It comes back exact when those coefficients solve H exactly; an
     identity holds at every point, so one nonzero H(1/3, P(1/3)) rules
     that out without the series check."""
-    def at(F, P, m):  # a truncated column never equals 0, so none is trimmed
-        return UniPoly([TruncatedSeries(col.coeffs, m) for col in F.coeffs]).eval(P)
+    def at(F, P, m):
+        return horner([TruncatedSeries(col.coeffs, m) for col in F.coeffs], P)
 
     Hz = H.diff_z()
     coeffs = [_F0]
@@ -154,7 +154,7 @@ def _regular_tail(H, n):
         upd = P - at(H, P, m) * invert(at(Hz, P.truncate(m - k), m - k))
         coeffs = list(upd.coeffs[:m + 1])
     t0 = Fraction(1, 3)
-    if H.eval(t0, UniPoly(coeffs[:n + 1]).eval(t0)) == 0:
+    if H.eval(t0, horner(coeffs[:n + 1], t0)) == 0:
         exact_poly = TruncatedSeries.exact(coeffs[:n + 1])
         if H.eval_series(TruncatedSeries.exact([_F0, _F1]), exact_poly).is_zero_series():
             return exact_poly

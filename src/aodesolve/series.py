@@ -288,14 +288,24 @@ def invert(a, trunc=None):
     return TruncatedSeries(out, trunc)
 
 
-def compose(outer, inner):
-    """outer(inner) with the certified order t propagated: Horner's rule
-    (UniPoly.eval) on the outer coefficients at the inner series cut to
-    order t, each step cut to t, so no intermediate carries an exact
-    blowup.  An exact monomial inner rho t^k takes no series product:
-    c_i rho^i lands at t^(i k)."""
-    from .poly import UniPoly
+def horner(coeffs, x, trunc=None):
+    """sum coeffs[i] x^i by Horner's rule; x may be a scalar, a UniPoly,
+    a BiPoly or a TruncatedSeries.  No coefficients evaluate to 0 * x.
+    With trunc, each step is cut to that order, so no intermediate of a
+    series x is certified past it."""
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if trunc is not None and acc.trunc is not None and acc.trunc > trunc:
+            acc = acc.truncate(trunc)
+    return acc
 
+
+def compose(outer, inner):
+    """outer(inner) with the certified order t propagated: horner on the
+    outer coefficients at the inner series cut to order t, each step cut
+    to t, so no intermediate carries an exact blowup.  An exact monomial
+    inner rho t^k takes no series product: c_i rho^i lands at t^(i k)."""
     io = inner.order_lower_bound()
     if io < 1:
         raise InnerNotPositiveOrder("inner series must have order >= 1")
@@ -318,5 +328,5 @@ def compose(outer, inner):
             pw = pw * inner.coeffs[io]
         return inner._like(out, t)
     if t is None:
-        return _coerce(UniPoly(outer.coeffs).eval(inner))
-    return _coerce(UniPoly(outer.coeffs).eval(inner.truncate(t), t)).truncate(t)
+        return _coerce(horner(outer.coeffs, inner))
+    return _coerce(horner(outer.coeffs, inner.truncate(t), t)).truncate(t)

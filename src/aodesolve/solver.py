@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .errors import (InsufficientPrecision, NotOrderSuitable, PointNotOnCurve,
                      SeparantVanishes)
-from .numbers import QQ, common_tower, common_tower_of, inv, lift, scalar_json
+from .numbers import QQ, common_tower, common_tower_of, inv, lift, orbit_key, scalar_json
 from .poly import Point, separant, solve_system, univariate_slice, validate_input
 from .puiseux import _unify_coords, default_bound, places_at
 from .series import TruncatedSeries, compose, derivative
@@ -243,7 +243,7 @@ def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP):
     other curve points carry exactly one.
 
     Conjugate points carry the same count, so the pass runs once per
-    Galois orbit (see _orbit_key), at the orbit's first point.
+    Galois orbit (see numbers.orbit_key), at the orbit's first point.
     """
     validate_input(F)
     crit = critical_set(F, cap)
@@ -252,7 +252,7 @@ def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP):
     buckets = {}
     a1_extra = []
     for p in points:
-        key = _orbit_key(p)
+        key = orbit_key(*p)
         if key not in counts:
             counts[key] = sum(map(is_order_suitable, places_at(F, p, 1, cap=cap)))
         if counts[key] == 1:
@@ -261,25 +261,6 @@ def classify(F, *, cap=_factor.DEFAULT_DEGREE_CAP):
             buckets.setdefault(counts[key], []).append(p)
     constants = [p.y for p, tags in crit if "on_z_axis" in tags]
     return Classification(buckets, points, a1_extra, constants)
-
-
-def _orbit_key(p):
-    """The point as an element pair of an abstract field, free of its
-    embedding: the minimal polynomials of its tower's levels up to the
-    higher coordinate level, and (level, rep) of each coordinate.
-
-    Every level's minpoly is irreducible over the levels below (each
-    Level comes from a factor_over_tower factor), so the minpolys define
-    one field K = Q[a1..ak]/(m1, m2, ...), and two points with one key
-    are the images of one pair in K under two embeddings sigma, tau.
-    tau o sigma^-1 extends to an element of Gal(Q-bar/Q), which maps the
-    places at one point onto the places at the other and keeps e, ord(B)
-    and whether the center lies on z = 0, since F has rational
-    coefficients: the two points carry the same count.
-    """
-    top = max(p.y.level, p.z.level)
-    levels = common_tower_of(p).levels[:top]
-    return (tuple(lev.minpoly for lev in levels), p.y.level, p.y.rep, p.z.level, p.z.rep)
 
 
 # ---------------------------------------------------------------------------

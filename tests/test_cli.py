@@ -108,6 +108,23 @@ def test_parse_tuple_root_admits_only_x(text, message, position):
     assert str(exc.value) == message and exc.value.position == position
 
 
+@pytest.mark.parametrize("parse, text, message, position", [
+    (parse_polynomial, "y y", "trailing input", 2),
+    (parse_polynomial, "y^y", "exponent must be a nonnegative integer", 2),
+    (parse_polynomial, "1/y", "malformed rational literal", 2),
+    (parse_initial_tuple, "sqrt(sqrt(2)), 1", "sqrt expects a rational argument", 0),
+    (parse_initial_tuple, "1, root(x^2 - 2, 0)", "root index must be a positive integer", 17),
+])
+def test_parse_error_messages_and_offsets(parse, text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message and exc.value.position == position
+
+
+def test_parse_ignores_trailing_whitespace():
+    assert parse_polynomial("y' - y   ") == parse_polynomial("y' - y")
+
+
 def test_cli_solve_rejects_root_of_a_non_x_polynomial():
     code, out, err = run_cli("solve", "--ode", "(y')^2 - y^3 - y^2",
                              "--at", "root(y^2-3, 1), 0")

@@ -46,7 +46,6 @@ LAYERS = ("errors", "enclosure", "numbers", "series", "poly", "factor", "puiseux
 
 # the function-level imports that reach up a layer, each on purpose
 UPWARD_IMPORTS = {
-    ("series.compose", "poly"),
     ("poly.Point.__eq__", "factor"),
     ("poly.solve_system", "factor"),
     ("poly._validate_cached", "factor"),
@@ -100,7 +99,7 @@ def test_modules_import_only_lower_layers():
 
 # the total that `wc -l src/aodesolve/*.py` prints; a change that moves it
 # updates this number and says why in CHANGES.md
-SRC_LINES = 3606
+SRC_LINES = 3577
 
 
 def test_src_line_count_is_pinned():

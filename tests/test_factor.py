@@ -9,13 +9,15 @@ import json
 import os
 import random
 from fractions import Fraction as F
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
 
 from aodesolve import cli, factor
+from aodesolve.enclosure import Box
 from aodesolve.factor import adjoin_root, factor_over_tower, factor_q
-from aodesolve.numbers import QQ, lift
+from aodesolve.numbers import QQ, AlgebraicNumber, lift
 from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import UniPoly
 from aodesolve.solver import critical_set
@@ -307,3 +309,46 @@ def test_residue_certificate(towers, make, e, certified):
     tower, c = make(towers)
     assert factor.no_eth_root(c, e, tower) is certified
     assert bool(_root_of(tower, c, e)) is not certified
+
+
+def _close_pair(k):
+    """x^2 - 2x + 1 - 5 * 2^(-2k), whose roots 1 +- sqrt(5) 2^-k meet
+    in every enclosure wider than about 2^-k."""
+    return UniPoly([1 - F(5, 2 ** (2 * k)), F(-2), F(1)], "x")
+
+
+def test_pick_root_doubles_the_precision_until_one_root_passes():
+    """A 2^-prec disk around the upper root meets both roots at 48 bits
+    and only the upper one at 96."""
+    upper = 1 + F(isqrt(5 * 4 ** 200), 2 ** 271)
+    precs = []
+
+    def accept(box, prec):
+        precs.append(prec)
+        return box.intersects(Box.disk(upper, F(0), F(1, 2 ** prec)))
+
+    tower, r = factor.pick_root(_close_pair(71), QQ, accept)
+    assert sorted(set(precs)) == [48, 96]
+    assert tower.height == 1 and (r - 1) ** 2 == F(5, 2 ** 142) and r.box(96).re_lo > 1
+
+
+def test_alg_eq_refines_the_root_index(monkeypatch):
+    """Over the incompatible towers Q(sqrt(2)) and Q(sqrt(3)), the roots
+    1 +- sqrt(5) 2^-201 are told apart by _root_index only after it
+    doubles the precision from 64 to 128 bits."""
+    p = _close_pair(201)
+    _, r2 = adjoin_root(QQ, UniPoly([F(-2), F(0), F(1)], "x"), name="sqrt(2)")
+    _, r3 = adjoin_root(QQ, UniPoly([F(-3), F(0), F(1)], "x"), name="sqrt(3)")
+    (a_lo, _), (a_hi, _) = factor.all_roots(p, r2.tower)
+    (b_lo, _), (b_hi, _) = factor.all_roots(p, r3.tower)
+    precs = []
+    box = AlgebraicNumber.box
+
+    def spy(self, prec=64):
+        precs.append(prec)
+        return box(self, prec)
+
+    monkeypatch.setattr(AlgebraicNumber, "box", spy)
+    assert factor.alg_eq(a_hi, b_hi) and max(precs) == 128
+    precs.clear()
+    assert not factor.alg_eq(a_hi, b_lo) and max(precs) == 128

@@ -66,6 +66,35 @@ def test_division_by_zero(sqrt2_tower):
         field_arith(r2, r2 - r2, "div")
 
 
+def test_rational_operands_on_either_side(sqrt2_tower):
+    _, r2 = sqrt2_tower
+    assert 1 / r2 == r2 / 2
+    assert str(F(1, 2) - r2) == "1/2 - sqrt(2)"
+    assert r2 ** -2 == F(1, 2)
+    with pytest.raises(DivisionByZero):
+        r2 / 0
+
+
+def test_operand_and_value_errors(sqrt2_tower):
+    _, r2 = sqrt2_tower
+    with pytest.raises(TypeError):
+        r2 + 1.5
+    with pytest.raises(TypeError):
+        r2 * "a"
+    _, r3 = adjoin_root(QQ, _upoly(-3, 0, 1), name="sqrt(3)")
+    with pytest.raises(ArithmeticError, match="incompatible towers"):
+        r3 + r2
+    with pytest.raises(ValueError):
+        r2.as_fraction()
+
+
+def test_render_brackets_a_sum_coefficient(two_level_tower):
+    _, r2, r3 = two_level_tower
+    v = (1 + r2) * r3 + r2
+    assert str(v) == "sqrt(2) + (1 + sqrt(2))*sqrt(3)"
+    assert str(-(1 + r2) * r3) == "(-1 - sqrt(2))*sqrt(3)"
+
+
 def test_field_axioms_randomized(two_level_tower):
     t, r2, r3 = two_level_tower
     rng = random.Random(42)

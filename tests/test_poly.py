@@ -7,7 +7,7 @@ import pytest
 from aodesolve.errors import (CommonComponent, NoDerivative, NotIrreducible,
                               PointNotOnCurve, TrivialLinear)
 from aodesolve.factor import adjoin_root, alg_eq, roots_by_factor
-from aodesolve.numbers import QQ, AlgebraicNumber, as_alg
+from aodesolve.numbers import QQ, AlgebraicNumber, as_alg, orbit_key
 from aodesolve.poly import (BiPoly, Point, UniPoly, multiplicity_at,
                             resultant_lists, ruppert_factor_count, separant,
                             solve_system, translate, uni_gcd, univariate_slice,
@@ -597,7 +597,7 @@ def test_slice_gcds_from_the_subresultant_chain_match_euclid(ex1, ex2, monkeypat
         ry, s1 = resultant_lists(Fc.coeffs, S.coeffs, "y")
         euclid = {}
         for y0, _m in roots_by_factor(ry, QQ):
-            key = y0.tower.levels[-1].minpoly if y0.level else y0
+            key = orbit_key(y0)
             if key not in euclid:
                 euclid[key] = uni_gcd(univariate_slice(Fc, "z", y0), univariate_slice(S, "z", y0))
             g = euclid[key]

@@ -77,6 +77,26 @@ def test_invert_not_a_unit():
         invert(S([0, 1], 4))
 
 
+def test_invert_raises_without_a_target_order_or_a_certified_coefficient():
+    with pytest.raises(ValueError):
+        invert(S([1, 1]))
+    with pytest.raises(NotAUnit, match="insufficient certified coefficients"):
+        invert(S([1, 1], 1), trunc=3)
+
+
+def test_api_errors():
+    with pytest.raises(ValueError):
+        TruncatedSeries([F(1)], -2)
+    with pytest.raises(IndexError):
+        S([1, 2], 1)[2]
+    with pytest.raises(ValueError):
+        S([1]) ** -1
+    with pytest.raises(ValueError):
+        S([1, 2], 1).truncate(3)
+    with pytest.raises(ValueError):
+        series_arith(S([1]), S([2]), "div")
+
+
 def test_compose_paper_example():
     outer = S([-1, 0, 1])  # t^2 - 1, exact
     inner = S([0, F(1, 2), 0, F(-1, 24), 0, F(1, 240)], 5)
