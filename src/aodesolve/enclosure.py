@@ -160,7 +160,7 @@ def numeric_roots(coeff_mids, bits):
 
     ``coeff_mids`` is an ascending list of (Fraction re, Fraction im)
     pairs.  Returns (re, im) pairs of Fractions rounded to 2^-bits, with
-    parts below 2^-bits set to 0, sorted by (re, im).
+    parts below 2^-bits set to 0.
     """
     w = bits + 120
     lr, li = coeff_mids[-1]
@@ -183,7 +183,7 @@ def numeric_roots(coeff_mids, bits):
             roots[i] = pr - xr, pi - xi  # in place: later roots see this one
             big = max(big, xr * xr + xi * xi)
         if big < 1 << 240:  # every correction is below 2^-bits
-            return sorted((_seed(re, bits), _seed(im, bits)) for re, im in roots)
+            return [(_seed(re, bits), _seed(im, bits)) for re, im in roots]
     raise ArithmeticError("root seeds did not converge")
 
 

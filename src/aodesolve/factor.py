@@ -36,11 +36,11 @@ def _factor_key(fm):
 
 def factor_q(p):
     """Monic irreducible factorization over Q, [(factor, multiplicity)]
-    sorted by degree, then by coefficients (numerically, then exactly):
+    sorted by degree, then exactly by the ascending coefficients:
     Zassenhaus on each squarefree part, at every degree."""
     out = [(UniPoly([Fraction(c, f[-1]) for c in f], p.var), m)
            for g, m in squarefree_decomposition(p) for f in _zassenhaus(g.coeffs)]
-    return sorted(out, key=lambda fm: (_factor_key(fm), fm[0].coeffs))
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 # Zassenhaus over Z.  A polynomial is an ascending int list, reduced

@@ -219,15 +219,14 @@ class Level:
     """One simple extension: a monic minimal polynomial over the tower
     below and an isolating box pinning one of its complex roots."""
 
-    __slots__ = ("name", "minpoly", "degree", "seed", "_boxes", "_best_mid")
+    __slots__ = ("name", "minpoly", "degree", "seed", "_boxes")
 
     def __init__(self, name, minpoly, seed):
         self.name = name
         self.minpoly = tuple(minpoly)  # ascending reps over the sub-tower, monic
         self.degree = len(minpoly) - 1
         self.seed = seed  # Box isolating the pinned root
-        self._boxes = {}
-        self._best_mid = (seed.mid_re, seed.mid_im)
+        self._boxes = {}  # prec -> level_box(..., prec)
 
     def _key(self):
         return (self.name, self.minpoly,
@@ -311,19 +310,16 @@ def common_tower(t1, t2):
 
 
 def level_box(tower, i, prec):
-    """Isolating box of the level-i generator, width <= 2^-prec."""
+    """Isolating box of the level-i generator, width <= 2^-prec.  It depends
+    only on the Level and ``prec``, whatever was asked before."""
     lev = tower.levels[i]
     cached = lev._boxes.get(prec)
     if cached is not None:
         return cached
-    for p, box in sorted(lev._boxes.items(), reverse=True):
-        if p >= prec:
-            lev._boxes[prec] = box
-            return box
     target = Fraction(1, 1 << (prec + 1))
     work = prec + 48
     sub = Tower(tower.levels[:i])
-    mid = lev._best_mid
+    mid = (lev.seed.mid_re, lev.seed.mid_im)
     for _ in range(12):
         cboxes = [rep_box(sub, i, c, work) for c in lev.minpoly]
         mids = [(b.mid_re, b.mid_im) for b in cboxes]
@@ -331,12 +327,9 @@ def level_box(tower, i, prec):
         rad = root_radius(cboxes, Box.exact(z[0], z[1]))
         if rad is not None and 2 * rad <= target:
             box = Box.disk(z[0], z[1], rad).rounded(prec + 24)
-            if box.intersects(lev.seed) or any(
-                    box.intersects(b) for b in lev._boxes.values()):
+            if box.intersects(lev.seed):
                 lev._boxes[prec] = box
-                lev._best_mid = (z[0], z[1])
                 return box
-            mid = (lev.seed.mid_re, lev.seed.mid_im)  # drifted; restart at seed
         work *= 2
     raise ArithmeticError("failed to refine enclosure for %s" % lev.name)
 

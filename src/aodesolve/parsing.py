@@ -188,10 +188,10 @@ def parse_polynomial(text):
     return _Parser(_Tokens(text)).parse()
 
 
-def parse_initial_tuple(text, tower=QQ, cap=_factor.DEFAULT_DEGREE_CAP):
-    """Parse "c0, c1" into a pair of tower values (plus the tower)."""
+def parse_initial_tuple(text, cap=_factor.DEFAULT_DEGREE_CAP):
+    """Parse "c0, c1" into two values and the tower they adjoin to Q."""
     tokens = _Tokens(text)
-    p = _Parser(tokens, tower=tower, cap=cap)
+    p = _Parser(tokens, tower=QQ, cap=cap)
     c0 = p.expr()
     tokens.expect_op(",")
     c1 = p.parse()

@@ -99,7 +99,7 @@ def test_modules_import_only_lower_layers():
 
 # the total that `wc -l src/aodesolve/*.py` prints; a change that moves it
 # updates this number and says why in CHANGES.md
-SRC_LINES = 3577
+SRC_LINES = 3570
 
 
 def test_src_line_count_is_pinned():

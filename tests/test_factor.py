@@ -110,6 +110,19 @@ def test_factor_q_below_degree_3_matches_sympy():
     assert kinds == {"zero", "negative", "split", "irreducible"}
 
 
+@pytest.mark.parametrize("coeffs", [(-2, 0, 1), (6, -5, 1), (1, 0, 0, 0, 1),
+                                    (-1, 0, 0, 0, 0, 0, 1), (2, 3, -1, 0, 1, 4)])
+def test_factor_q_orders_factors_exactly(monkeypatch, coeffs):
+    def numeric(*args, **kwargs):
+        raise AssertionError("factor_q took an enclosure")
+
+    monkeypatch.setattr(AlgebraicNumber, "box", numeric)
+    monkeypatch.setattr(AlgebraicNumber, "sort_key", numeric)
+    got = factor_q(UniPoly([F(c) for c in coeffs], "x"))
+    # _sympy_factor_q sorts by (degree, exact coefficients)
+    assert [(list(f.coeffs), m) for f, m in got] == _sympy_factor_q([F(c) for c in coeffs])
+
+
 def test_factor_q_of_a_constant_is_empty():
     assert factor_q(UniPoly([F(3)])) == []
     assert factor_q(UniPoly([])) == []

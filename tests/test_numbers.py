@@ -10,7 +10,7 @@ from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
 from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
                               roots_by_factor, roots_in_tower)
 from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, field_arith,
-                               isolate_roots, lift, numeric_enclosure)
+                               isolate_roots, level_box, lift, numeric_enclosure)
 from aodesolve.poly import UniPoly
 
 
@@ -189,6 +189,26 @@ def test_enclosure_refinement_monotone(sqrt2_tower):
     assert b1.intersects(b2)
 
 
+def test_level_boxes_do_not_depend_on_earlier_calls():
+    # two fresh copies of Q(sqrt(2))(sqrt(3)); only the second is refined first
+    def build():
+        t, _ = adjoin_root(QQ, _upoly(-2, 0, 1), name="sqrt(2)")
+        return adjoin_root(t, _upoly(-3, 0, 1), name="sqrt(3)")[0]
+
+    fresh, warm = build(), build()
+    assert all(a is not b for a, b in zip(fresh.levels, warm.levels))
+    for i in range(2):
+        level_box(warm, i, 1000)
+        level_box(warm, i, 200)
+    for i, lev in enumerate(fresh.levels):
+        for prec in (64, 80, 112):
+            a, b = level_box(fresh, i, prec), level_box(warm, i, prec)
+            assert ((a.re_lo, a.re_hi, a.im_lo, a.im_hi)
+                    == (b.re_lo, b.re_hi, b.im_lo, b.im_hi))
+            assert a.width() <= F(1, 2**prec)
+            assert a.intersects(lev.seed)
+
+
 def test_point_box_product_equals_the_interval_formula():
     # Box.__mul__ takes an exact product when both boxes are points
     rng = random.Random(42)
@@ -333,6 +353,14 @@ def test_serialization_round_trip(two_level_tower):
     assert y.level == x.level and y.rep == x.rep
     assert (AlgebraicNumber(y.tower, y.level, y.rep).box(32)
             .intersects(x.box(32)))
+
+
+def test_rational_values_hash_as_their_fraction(sqrt2_tower):
+    t, r = sqrt2_tower
+    a, b = lift(F(3), t), r * r + 1
+    assert a == 3 and b == 3
+    assert hash(a) == hash(b) == hash(F(3))
+    assert len({a, b, F(3), 3}) == 1
 
 
 def test_serialization_rational():
