@@ -8,9 +8,8 @@ from .errors import (CommonComponent, DegenerateInput, DivisionByZero,
                      NotIrreducible, NotOrderSuitable, ParseError,
                      PointNotOnCurve, SeparantVanishes, SolverError,
                      TrivialLinear)
-from .numbers import (QQ, AlgebraicNumber, Tower, field_arith,
-                      numeric_enclosure)
-from .factor import (adjoin_root, all_roots, alg_eq, factor_over_tower,
+from .numbers import QQ, AlgebraicNumber, Tower, numeric_enclosure
+from .factor import (adjoin_root, all_roots, alg_eq, factor_over_tower, field_arith,
                      lift_to_common, minpoly_over_q, roots_in_tower)
 from .series import TruncatedSeries, compose, derivative, invert, series_arith
 from .poly import (BiPoly, Point, UniPoly, multiplicity_at, separant,

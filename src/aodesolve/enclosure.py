@@ -117,9 +117,6 @@ class Box:
         return not (self.re_hi < other.re_lo or other.re_hi < self.re_lo or
                     self.im_hi < other.im_lo or other.im_hi < self.im_lo)
 
-    def contains_point(self, re, im):
-        return self.re_lo <= re <= self.re_hi and self.im_lo <= im <= self.im_hi
-
     def rounded(self, bits):
         """Outward rounding of endpoints to denominators 2^bits."""
         return Box(_round_down(self.re_lo, bits), _round_up(self.re_hi, bits),

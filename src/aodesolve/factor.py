@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import count, zip_longest
 
 from .errors import ExtensionLimitExceeded
-from .numbers import (DEFAULT_DEGREE_CAP, QQ, AlgebraicNumber, Level, Tower, as_alg,
+from .numbers import (DEFAULT_DEGREE_CAP, KEY_BITS, QQ, AlgebraicNumber, Level, Tower, as_alg,
                       common_tower, isolate_roots, level_box, lift, rational, rep_lift)
 from .poly import BiPoly, UniPoly, resultant_lists, squarefree_decomposition, uni_gcd
 from .series import horner
@@ -31,7 +31,7 @@ _F1 = Fraction(1)
 
 
 def _factor_key(fm):
-    return fm[0].degree, tuple(as_alg(c).sort_key(48) for c in fm[0].coeffs)
+    return fm[0].degree, tuple(as_alg(c).sort_key() for c in fm[0].coeffs)
 
 
 def factor_q(p):
@@ -488,7 +488,7 @@ def alg_eq(x, y):
     x, y = as_alg(x), as_alg(y)
     if common_tower(x.tower, y.tower) is not None:
         return x.level == y.level and x.rep == y.rep
-    if not x.box(64).intersects(y.box(64)):
+    if not x.box().intersects(y.box()):
         return False
     p = minpoly_over_q(x)
     if p != minpoly_over_q(y):
@@ -498,7 +498,7 @@ def alg_eq(x, y):
 
 
 def _root_index(x, rboxes):
-    prec = 64
+    prec = KEY_BITS
     for _ in range(8):
         bx = x.box(prec)
         hits = [i for i, rb in enumerate(rboxes) if rb.intersects(bx)]
@@ -523,6 +523,16 @@ def lift_to_common(x, y, cap=DEFAULT_DEGREE_CAP):
     ylift = _map_rep(rep_lift(y.rep, y.level, y.tower.height),
                      y.tower.height, imgs, target)
     return lift(x, target), ylift
+
+
+def field_arith(x, y, op):
+    """Binary field operation; lifts operands to a common tower."""
+    fns = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+           "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+    a, b = as_alg(x), as_alg(y)
+    if common_tower(a.tower, b.tower) is None:
+        a, b = lift_to_common(a, b)
+    return fns[op](a, b)
 
 
 def _map_rep(rep, level, imgs, target):

@@ -24,6 +24,11 @@ _F1 = Fraction(1)
 # the largest degree over Q a tower may reach (the CLI's --degree-cap)
 DEFAULT_DEGREE_CAP = 64
 
+# width 2^-KEY_BITS of the enclosures behind every sort key, complex(),
+# alg_eq's reject test and its first root-index test; a new generator's
+# seed box (the JSON's "enclosure") is picked at factor.pick_root's 48 bits
+KEY_BITS = 64
+
 
 # ---------------------------------------------------------------------------
 # raw rep helpers
@@ -491,7 +496,7 @@ class AlgebraicNumber:
 
     # -- numerics -----------------------------------------------------
 
-    def box(self, prec=64):
+    def box(self, prec=KEY_BITS):
         for _ in range(8):
             b = rep_box(self.tower, self.level, self.rep, prec + 16)
             if b.width() <= Fraction(1, 1 << prec):
@@ -499,13 +504,12 @@ class AlgebraicNumber:
             prec += prec
         raise ArithmeticError("enclosure refinement stalled")
 
-    def sort_key(self, prec=64):
-        b = self.box(prec)
+    def sort_key(self):
+        b = self.box()
         return (b.mid_re, b.mid_im)
 
     def complex(self):
-        b = self.box(64)
-        return complex(float(b.mid_re), float(b.mid_im))
+        return complex(*map(float, self.sort_key()))
 
     # -- rendering ----------------------------------------------------
 
@@ -681,17 +685,6 @@ def scalar_json(c):
 
 # ---------------------------------------------------------------------------
 # spec-level conveniences
-
-
-def field_arith(x, y, op):
-    """Binary field operation; lifts operands to a common tower."""
-    fns = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-           "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
-    a, b = as_alg(x), as_alg(y)
-    if common_tower(a.tower, b.tower) is None:
-        from . import factor
-        a, b = factor.lift_to_common(a, b)
-    return fns[op](a, b)
 
 
 def numeric_enclosure(x, precision):

@@ -376,5 +376,5 @@ def _place_sort_key(pl):
     key = [pl.e, pl.ord_B()]
     upto = min(6, len(pl.B.coeffs) - 1)
     for k in range(upto + 1):
-        key.extend(as_alg(pl.B[k]).sort_key(48))
+        key.extend(as_alg(pl.B[k]).sort_key())
     return tuple(key)

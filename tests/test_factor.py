@@ -2,12 +2,15 @@
 Zassenhaus from degree 3 on seeded products, Swinnerton-Dyer
 polynomials and the norms and resultants that classify and critical
 factor; the linear base case of factor_over_tower against Trager's
-path; and the residue certificate of no_eth_root against roots_in_tower."""
+path; factor_over_tower against sympy over Q(sqrt(2)), Q(sqrt(5)) and
+Q(sqrt(2))(sqrt(3)); and the residue certificate of no_eth_root against
+roots_in_tower."""
 
 import io
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import isqrt
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ import pytest
 from aodesolve import cli, factor
 from aodesolve.enclosure import Box
 from aodesolve.factor import adjoin_root, factor_over_tower, factor_q
-from aodesolve.numbers import QQ, AlgebraicNumber, lift
+from aodesolve.numbers import QQ, AlgebraicNumber, as_alg, lift
 from aodesolve.parsing import parse_polynomial
 from aodesolve.poly import UniPoly
 from aodesolve.solver import critical_set
@@ -365,3 +368,85 @@ def test_alg_eq_refines_the_root_index(monkeypatch):
     assert factor.alg_eq(a_hi, b_hi) and max(precs) == 128
     precs.clear()
     assert not factor.alg_eq(a_hi, b_lo) and max(precs) == 128
+
+
+# the towers of the differential suite by their radicands: level k
+# adjoins +sqrt(d_k)
+_SQRT_TOWERS = ((2,), (5,), (2, 3))
+
+
+def _sqrt_tower(ds):
+    """The tower of adjoin_root on x^2 - d for each d in turn, and the
+    power basis of its generators' products, lifted into it."""
+    tower, basis = QQ, [lift(F(1), QQ)]
+    for d in ds:
+        tower, g = adjoin_root(tower, UniPoly([F(-d), F(0), F(1)], "x"))
+        assert g.box().re_lo > 0
+        basis = [lift(b, tower) for b in basis]
+        basis += [b * g for b in basis]
+    return tower, basis
+
+
+def _differential_cases():
+    """(radicands, tower, polynomial): x^4 - 10x^2 + 1 over each tower,
+    three fixed polynomials over Q(sqrt(2)), then twelve seeded products
+    of 2-3 monic factors of degree 1-2 whose coefficients are sums a_b b
+    over the tower's power basis, a_b in [-2, 2]."""
+    towers = {ds: _sqrt_tower(ds) for ds in _SQRT_TOWERS}
+    fixed = [(ds, [1, 0, -10, 0, 1]) for ds in _SQRT_TOWERS]
+    fixed += [((2,), [12, 0, -7, 0, 1]),            # (x^2 - 3)(x^2 - 4)
+              ((2,), [0, 0, 0, 0, 1]),              # x^4
+              ((2,), [-12, 0, 16, 0, -7, 0, 1])]    # (x^2 - 2)^2 (x^2 - 3)
+    for ds, coeffs in fixed:
+        tower = towers[ds][0]
+        yield ds, tower, UniPoly([lift(F(c), tower) for c in coeffs], "x")
+    rng = random.Random(7)
+    for i in range(12):
+        ds = _SQRT_TOWERS[i % 3]
+        tower, basis = towers[ds]
+        one = lift(F(1), tower)
+        p = UniPoly([one], "x")
+        for _ in range(rng.randint(2, 3)):
+            low = [sum((rng.randint(-2, 2) * b for b in basis), 0 * one)
+                   for _ in range(rng.randint(1, 2))]
+            p = p * UniPoly(low + [one], "x")
+        yield ds, tower, p
+
+
+def _to_sympy(coeffs, ds):
+    """sum c_k x^k as a sympy expression in x and sqrt(d) for d in ds."""
+    import sympy
+
+    def walk(rep, level):
+        if level == 0:
+            return sympy.Rational(rep.numerator, rep.denominator)
+        return sum(walk(a, level - 1) * sympy.sqrt(ds[level - 1]) ** k
+                   for k, a in enumerate(rep))
+
+    x = sympy.Symbol("x")
+    return sum(walk(a.rep, a.level) * x**k for k, a in enumerate(map(as_alg, coeffs)))
+
+
+def test_factor_over_tower_matches_sympy():
+    """factor_over_tower and sympy's factor_list with the same square
+    roots as extension give the same multiset of monic factors and
+    multiplicities; x^4 - 10x^2 + 1 is two quadratics over Q(sqrt(2)),
+    irreducible over Q(sqrt(5)) and four linear factors over
+    Q(sqrt(2))(sqrt(3))."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    degrees = {}
+    for ds, tower, p in _differential_cases():
+        roots = [sympy.sqrt(d) for d in ds]
+        field = sympy.QQ.algebraic_field(*roots)
+
+        def monic(expr):
+            return tuple(sympy.Poly(expr, x, domain=field).monic().all_coeffs())
+
+        got = factor_over_tower(p, tower)
+        _, want = sympy.factor_list(_to_sympy(p.coeffs, ds), x, extension=roots)
+        assert (Counter((monic(_to_sympy(f.coeffs, ds)), m) for f, m in got)
+                == Counter((monic(f), m) for f, m in want)), (ds, str(p))
+        degrees.setdefault(ds, sorted(f.degree for f, _ in got))
+    assert degrees == {(2,): [2, 2], (5,): [4], (2, 3): [1, 1, 1, 1]}

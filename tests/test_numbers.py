@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -7,10 +10,10 @@ import pytest
 
 from aodesolve.enclosure import Box, _imul
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
-from aodesolve.factor import (adjoin_root, alg_eq, all_roots, lift_to_common, pick_root,
-                              roots_by_factor, roots_in_tower)
-from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, field_arith,
-                               isolate_roots, level_box, lift, numeric_enclosure)
+from aodesolve.factor import (adjoin_root, alg_eq, all_roots, field_arith, lift_to_common,
+                              pick_root, roots_by_factor, roots_in_tower)
+from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, isolate_roots, level_box, lift,
+                               numeric_enclosure)
 from aodesolve.poly import UniPoly
 
 
@@ -178,7 +181,7 @@ def test_enclosure_consistency(two_level_tower):
     t, r2, r3 = two_level_tower
     lhs = (r2 * r3) * (r2 * r3)
     assert lhs == 6
-    assert lhs.box(40).contains_point(F(6), F(0))
+    assert lhs.box(40).intersects(Box.exact(6))
 
 
 def test_enclosure_refinement_monotone(sqrt2_tower):
@@ -187,6 +190,34 @@ def test_enclosure_refinement_monotone(sqrt2_tower):
     b2 = r2.box(48)
     assert b2.width() <= b1.width()
     assert b1.intersects(b2)
+
+
+def test_every_key_reads_the_one_precision(monkeypatch):
+    """sort_key takes no precision, so every key is the one KEY_BITS box:
+    a spy that takes only self serves the factor and place keys of a
+    places run on the Ex2 family and the point keys of critical on pool
+    curve 0, and both still print their golden bytes."""
+    from aodesolve import cli
+
+    keyed = []
+    real = AlgebraicNumber.sort_key
+
+    def spy(self):
+        keyed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AlgebraicNumber, "sort_key", spy)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "golden.json")) as fh:
+        golden = {tuple(case["argv"]): case["sha256"] for case in json.load(fh)}
+    places = ("places", "--ode", "((y'+4)^2 + y^2)^3 - 4*(y'+4)^2*y^2", "--order", "6",
+              "--format", "json")
+    pool0 = next(argv for argv in golden if argv[0] == "critical")  # golden keeps pool order
+    for argv in (places, pool0):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(list(argv), out=out, err=err) == 0, err.getvalue()
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == golden[argv]
+    assert keyed
 
 
 def test_level_boxes_do_not_depend_on_earlier_calls():

@@ -636,9 +636,9 @@ def test_critical_set_keys_each_point_once(monkeypatch):
     keyed = []
     real = AlgebraicNumber.sort_key
 
-    def spy(self, prec=64):
+    def spy(self):
         keyed.append(self)
-        return real(self, prec)
+        return real(self)
 
     monkeypatch.setattr(AlgebraicNumber, "sort_key", spy)
     points = critical_set(_pool_curve(0)).plain_points()
