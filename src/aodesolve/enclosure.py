@@ -1,14 +1,15 @@
 """Exact complex interval boxes with rational endpoints.
 
-All endpoint arithmetic is done over ``Fraction``, so enclosures are
-rigorous without directed rounding: the box of an operation always
-contains every possible value of the operation on members of the input
-boxes.  Root seeds come from an in-house Durand-Kerner iteration, but the
-containment radii are certified by the bound  min_i |z - r_i| <= n |p(z)/p'(z)|.
+Box endpoints are ``Fraction``s, so enclosures are rigorous without
+directed rounding: the box of an operation always contains every possible
+value of the operation on members of the input boxes.  Root seeds come
+from an in-house Durand-Kerner iteration, and Level refinement polishes by
+Newton in fixed point, but the containment radii are certified by the
+bound  min_i |z - r_i| <= n |p(z)/p'(z)|, on integers for point data.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 _ZERO = Fraction(0)
 
@@ -139,6 +140,8 @@ def root_radius(coeff_boxes, z):
     """Certified radius r such that the disk around the point box ``z``
     of radius r contains a root of every polynomial with coefficients in
     the given boxes.  Returns None when the derivative box straddles 0."""
+    if all(b.re_lo == b.re_hi and b.im_lo == b.im_hi for b in (z, *coeff_boxes)):
+        return _point_radius([(b.re_lo, b.im_lo) for b in coeff_boxes], z.re_lo, z.im_lo)
     n = len(coeff_boxes) - 1
     pz = box_horner(coeff_boxes, z)
     dcoeffs = [Box.exact(k) * coeff_boxes[k] for k in range(1, n + 1)]
@@ -149,6 +152,26 @@ def root_radius(coeff_boxes, z):
     _, phi = pz.abs2_bounds()
     r2 = Fraction(n * n) * phi / dlo
     return frac_sqrt_up(r2)
+
+
+def _point_radius(cs, zr, zi):
+    """root_radius on point data, on integers.  With D the common
+    denominator of the coefficients and z = X/E, the homogeneous Horner
+    gives P = E^n D p(z) and P' = E^(n-1) D p'(z), and the same
+    r^2 = n^2 |P|^2 / (|P'|^2 E^2) as the Box path."""
+    d = lcm(*(q.denominator for c in cs for q in c))
+    e = lcm(zr.denominator, zi.denominator)
+    xr, xi = zr.numerator * (e // zr.denominator), zi.numerator * (e // zi.denominator)
+    pr = pi = dr = di = 0
+    ek = 1  # E^j at the j-th coefficient from the top
+    for cr, ci in reversed(cs):
+        dr, di = dr * xr - di * xi + pr, dr * xi + di * xr + pi
+        pr, pi = (pr * xr - pi * xi + cr.numerator * (d // cr.denominator) * ek,
+                  pr * xi + pi * xr + ci.numerator * (d // ci.denominator) * ek)
+        ek *= e
+    m = dr * dr + di * di
+    n = len(cs) - 1
+    return frac_sqrt_up(Fraction(n * n * (pr * pr + pi * pi), m * e * e)) if m else None
 
 
 def numeric_roots(coeff_mids, bits):
@@ -202,6 +225,7 @@ def polish_root(coeff_mids, z, bits):
     fractional bits after each step to keep numerators bounded.
     """
     zr, zi = z
+    eps2 = Fraction(1, 1 << (2 * bits))
     for _ in range(60):
         pr = pi = dr = di = _ZERO
         for cr, ci in reversed(coeff_mids):
@@ -217,6 +241,27 @@ def polish_root(coeff_mids, z, bits):
         zr, zi = zr - qr, zi - qi
         zr = _round_down(zr, bits) if zr >= 0 else -_round_down(-zr, bits)
         zi = _round_down(zi, bits) if zi >= 0 else -_round_down(-zi, bits)
-        if qr * qr + qi * qi < Fraction(1, 1 << (2 * bits)):
+        if qr * qr + qi * qi < eps2:
             break
     return zr, zi
+
+
+def polish_fixed(coeff_mids, z, bits):
+    """``polish_root`` on Gaussian integers scaled by 2^w, w = bits + 32:
+    the iterate is rounded to ``bits`` fractional bits once, at the end."""
+    w = bits + 32
+    cs = [(_fix(cr, w), _fix(ci, w)) for cr, ci in reversed(coeff_mids)]
+    zr, zi = _fix(z[0], w), _fix(z[1], w)
+    for _ in range(60):
+        pr = pi = dr = di = 0
+        for cr, ci in cs:
+            dr, di = ((dr * zr - di * zi) >> w) + pr, ((dr * zi + di * zr) >> w) + pi
+            pr, pi = ((pr * zr - pi * zi) >> w) + cr, ((pr * zi + pi * zr) >> w) + ci
+        m = dr * dr + di * di
+        if m == 0:
+            break
+        qr, qi = ((pr * dr + pi * di) << w) // m, ((pi * dr - pr * di) << w) // m
+        zr, zi = zr - qr, zi - qi
+        if qr * qr + qi * qi < 1 << 64:  # |q| < 2^-bits
+            break
+    return tuple(Fraction((v + (1 << 31)) >> 32, 1 << bits) for v in (zr, zi))

@@ -15,7 +15,7 @@ reps are equal.
 
 from fractions import Fraction
 
-from .enclosure import Box, box_horner, numeric_roots, polish_root, root_radius
+from .enclosure import Box, box_horner, numeric_roots, polish_fixed, polish_root, root_radius
 from .errors import DivisionByZero
 
 _F0 = Fraction(0)
@@ -328,7 +328,7 @@ def level_box(tower, i, prec):
     for _ in range(12):
         cboxes = [rep_box(sub, i, c, work) for c in lev.minpoly]
         mids = [(b.mid_re, b.mid_im) for b in cboxes]
-        z = polish_root(mids, mid, bits=work + 16)
+        z = polish_fixed(mids, mid, bits=work + 16)
         rad = root_radius(cboxes, Box.exact(z[0], z[1]))
         if rad is not None and 2 * rad <= target:
             box = Box.disk(z[0], z[1], rad).rounded(prec + 24)

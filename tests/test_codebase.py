@@ -98,7 +98,7 @@ def test_modules_import_only_lower_layers():
 
 # the total that `wc -l src/aodesolve/*.py` prints; a change that moves it
 # updates this number and says why in CHANGES.md
-SRC_LINES = 3569
+SRC_LINES = 3614
 
 
 def test_src_line_count_is_pinned():

@@ -370,36 +370,45 @@ def test_alg_eq_refines_the_root_index(monkeypatch):
     assert not factor.alg_eq(a_hi, b_lo) and max(precs) == 128
 
 
-# the towers of the differential suite by their radicands: level k
-# adjoins +sqrt(d_k)
-_SQRT_TOWERS = ((2,), (5,), (2, 3))
+# the towers of the differential suite: level j adjoins the real root
+# d_j^(1/k_j) of x^k_j - d_j, the greatest root, for each (d_j, k_j)
+_SQRT_TOWERS = (((2, 2),), ((5, 2),), ((2, 2), (3, 2)))
+_CBRT2 = ((2, 3),)
 
 
-def _sqrt_tower(ds):
-    """The tower of adjoin_root on x^2 - d for each d in turn, and the
-    power basis of its generators' products, lifted into it."""
+def _root_tower(ds):
+    """The tower of adjoin_root on x^k - d for each (d, k) in turn, and
+    the power basis of its generators' products, lifted into it."""
     tower, basis = QQ, [lift(F(1), QQ)]
-    for d in ds:
-        tower, g = adjoin_root(tower, UniPoly([F(-d), F(0), F(1)], "x"))
+    for d, k in ds:
+        tower, g = adjoin_root(tower, UniPoly([F(-d)] + [F(0)] * (k - 1) + [F(1)], "x"))
         assert g.box().re_lo > 0
         basis = [lift(b, tower) for b in basis]
-        basis += [b * g for b in basis]
+        basis = [b * g**j for j in range(k) for b in basis]
     return tower, basis
 
 
+# (tower, ascending coefficients, sorted degrees of the monic factors)
+_FIXED_CASES = (
+    [(ds, [1, 0, -10, 0, 1], degrees)  # two quadratics, irreducible, four lines
+     for ds, degrees in zip(_SQRT_TOWERS, ([2, 2], [4], [1, 1, 1, 1]))]
+    + [(_SQRT_TOWERS[0], [12, 0, -7, 0, 1], [1, 1, 2]),           # (x^2 - 3)(x^2 - 4)
+       (_SQRT_TOWERS[0], [0, 0, 0, 0, 1], [1]),                   # x^4
+       (_SQRT_TOWERS[0], [-12, 0, 16, 0, -7, 0, 1], [1, 1, 2]),   # (x^2 - 2)^2 (x^2 - 3)
+       (_CBRT2, [-2, 0, 0, 1], [1, 2]),                           # x^3 - 2
+       (_CBRT2, [-4, 0, 0, 0, 0, 0, 1], [1, 1, 2, 2]),            # (x^3 - 2)(x^3 + 2)
+       (_CBRT2, [-2, 0, 1], [2])])                                # x^2 - 2
+
+
 def _differential_cases():
-    """(radicands, tower, polynomial): x^4 - 10x^2 + 1 over each tower,
-    three fixed polynomials over Q(sqrt(2)), then twelve seeded products
+    """(tower key, tower, polynomial, sorted factor degrees or None): the
+    fixed cases, then twelve seeded products over the square-root towers
     of 2-3 monic factors of degree 1-2 whose coefficients are sums a_b b
     over the tower's power basis, a_b in [-2, 2]."""
-    towers = {ds: _sqrt_tower(ds) for ds in _SQRT_TOWERS}
-    fixed = [(ds, [1, 0, -10, 0, 1]) for ds in _SQRT_TOWERS]
-    fixed += [((2,), [12, 0, -7, 0, 1]),            # (x^2 - 3)(x^2 - 4)
-              ((2,), [0, 0, 0, 0, 1]),              # x^4
-              ((2,), [-12, 0, 16, 0, -7, 0, 1])]    # (x^2 - 2)^2 (x^2 - 3)
-    for ds, coeffs in fixed:
+    towers = {ds: _root_tower(ds) for ds in _SQRT_TOWERS + (_CBRT2,)}
+    for ds, coeffs, degrees in _FIXED_CASES:
         tower = towers[ds][0]
-        yield ds, tower, UniPoly([lift(F(c), tower) for c in coeffs], "x")
+        yield ds, tower, UniPoly([lift(F(c), tower) for c in coeffs], "x"), degrees
     rng = random.Random(7)
     for i in range(12):
         ds = _SQRT_TOWERS[i % 3]
@@ -410,17 +419,17 @@ def _differential_cases():
             low = [sum((rng.randint(-2, 2) * b for b in basis), 0 * one)
                    for _ in range(rng.randint(1, 2))]
             p = p * UniPoly(low + [one], "x")
-        yield ds, tower, p
+        yield ds, tower, p, None
 
 
 def _to_sympy(coeffs, ds):
-    """sum c_k x^k as a sympy expression in x and sqrt(d) for d in ds."""
+    """sum c_k x^k as a sympy expression in x and d^(1/k) for (d, k) in ds."""
     import sympy
 
     def walk(rep, level):
         if level == 0:
             return sympy.Rational(rep.numerator, rep.denominator)
-        return sum(walk(a, level - 1) * sympy.sqrt(ds[level - 1]) ** k
+        return sum(walk(a, level - 1) * sympy.root(*ds[level - 1]) ** k
                    for k, a in enumerate(rep))
 
     x = sympy.Symbol("x")
@@ -428,17 +437,14 @@ def _to_sympy(coeffs, ds):
 
 
 def test_factor_over_tower_matches_sympy():
-    """factor_over_tower and sympy's factor_list with the same square
-    roots as extension give the same multiset of monic factors and
-    multiplicities; x^4 - 10x^2 + 1 is two quadratics over Q(sqrt(2)),
-    irreducible over Q(sqrt(5)) and four linear factors over
-    Q(sqrt(2))(sqrt(3))."""
+    """factor_over_tower and sympy's factor_list with the same roots as
+    extension give the same multiset of monic factors and multiplicities,
+    and each fixed case splits into factors of the degrees it names."""
     import sympy
 
     x = sympy.Symbol("x")
-    degrees = {}
-    for ds, tower, p in _differential_cases():
-        roots = [sympy.sqrt(d) for d in ds]
+    for ds, tower, p, degrees in _differential_cases():
+        roots = [sympy.root(d, k) for d, k in ds]
         field = sympy.QQ.algebraic_field(*roots)
 
         def monic(expr):
@@ -448,5 +454,4 @@ def test_factor_over_tower_matches_sympy():
         _, want = sympy.factor_list(_to_sympy(p.coeffs, ds), x, extension=roots)
         assert (Counter((monic(_to_sympy(f.coeffs, ds)), m) for f, m in got)
                 == Counter((monic(f), m) for f, m in want)), (ds, str(p))
-        degrees.setdefault(ds, sorted(f.degree for f, _ in got))
-    assert degrees == {(2,): [2, 2], (5,): [4], (2, 3): [1, 1, 1, 1]}
+        assert degrees is None or sorted(f.degree for f, _ in got) == degrees, (ds, str(p))

@@ -8,12 +8,14 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from aodesolve.enclosure import Box, _imul
+from aodesolve import numbers
+from aodesolve.enclosure import (Box, _imul, box_horner, frac_sqrt_up, polish_fixed, polish_root,
+                                 root_radius)
 from aodesolve.errors import DivisionByZero, ExtensionLimitExceeded
 from aodesolve.factor import (adjoin_root, alg_eq, all_roots, field_arith, lift_to_common,
                               pick_root, roots_by_factor, roots_in_tower)
-from aodesolve.numbers import (QQ, AlgebraicNumber, common_tower, isolate_roots, level_box, lift,
-                               numeric_enclosure)
+from aodesolve.numbers import (QQ, AlgebraicNumber, Tower, common_tower, isolate_roots, level_box,
+                               lift, numeric_enclosure, rep_box)
 from aodesolve.poly import UniPoly
 
 
@@ -238,6 +240,89 @@ def test_level_boxes_do_not_depend_on_earlier_calls():
                     == (b.re_lo, b.re_hi, b.im_lo, b.im_hi))
             assert a.width() <= F(1, 2**prec)
             assert a.intersects(lev.seed)
+
+
+def _polish_cases():
+    """(tower, i) for the Level of every irrational root of two seeded
+    integer cubics and a quartic over Q, and of x^3 + sqrt(2) x + 1 over
+    Q(sqrt(2)), whose minimal polynomial has non-point coefficient boxes."""
+    rng = random.Random(27)
+    polys = [_upoly(*[rng.randint(-9, 9) for _ in range(3)], 1) for _ in range(2)]
+    polys.append(_upoly(3, -1, 0, 2, 1))
+    cases = [(QQ, p) for p in polys]
+    t2, r2 = adjoin_root(QQ, _upoly(-2, 0, 1), name="sqrt(2)")
+    one = lift(F(1), t2)
+    cases.append((t2, UniPoly([one, r2, 0 * one, one], "x")))
+    for tower, p in cases:
+        for r, _ in all_roots(p, tower):
+            if r.tower.height > tower.height:
+                yield r.tower, r.tower.height - 1
+
+
+def test_fixed_point_polish_matches_polish_root(monkeypatch):
+    """On the data level_box polishes, polish_fixed lands on the 2^-bits
+    grid point next to polish_root's result or on it, and every level_box
+    call that refinement makes is no wider than 2^-prec and meets its seed."""
+    calls = []
+    real = numbers.level_box
+
+    def spy(tower, i, prec):
+        box = real(tower, i, prec)
+        calls.append((tower.levels[i], prec, box))
+        return box
+
+    monkeypatch.setattr(numbers, "level_box", spy)
+    kinds = set()
+    for tower, i in _polish_cases():
+        lev = tower.levels[i]
+        kinds.add((i, lev.seed.mid_im != 0))
+        for prec in (64, 200):
+            work = prec + 48
+            cboxes = [rep_box(Tower(tower.levels[:i]), i, c, work) for c in lev.minpoly]
+            mids = [(b.mid_re, b.mid_im) for b in cboxes]
+            start, bits = (lev.seed.mid_re, lev.seed.mid_im), work + 16
+            got, want = polish_fixed(mids, start, bits), polish_root(mids, start, bits)
+            assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= F(1, 1 << bits)
+            numbers.level_box(tower, i, prec)
+    assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+    assert {prec for _, prec, _ in calls} >= {64, 200}
+    for lev, prec, box in calls:
+        assert box.width() <= F(1, 1 << prec)
+        assert box.intersects(lev.seed)
+
+
+def _box_path_radius(coeff_boxes, z):
+    """root_radius by interval Horner and abs2_bounds, the path that
+    non-point data still takes, as the oracle for point data."""
+    n = len(coeff_boxes) - 1
+    dpz = box_horner([Box.exact(k) * coeff_boxes[k] for k in range(1, n + 1)], z)
+    dlo, _ = dpz.abs2_bounds()
+    if dlo == 0:
+        return None
+    return frac_sqrt_up(F(n * n) * box_horner(coeff_boxes, z).abs2_bounds()[1] / dlo)
+
+
+def test_point_radius_equals_the_box_path():
+    """On point coefficients at dyadic Gaussian points the integer radius
+    is the Box-path radius, the same Fraction, and None where p'(z) = 0."""
+    rng = random.Random(27)
+
+    def q():
+        return F(rng.randint(-99, 99), rng.randint(1, 60))
+
+    for k in range(300):
+        deg = rng.randint(1, 9)
+        cs = [Box.exact(q(), q() if k % 2 else 0) for _ in range(deg)]
+        cs.append(Box.exact(rng.choice([-3, 1, F(5, 7)])))
+        z = Box.exact(*(F(rng.randint(-2**40, 2**40), 1 << rng.randint(0, 48)) for _ in range(2)))
+        got = root_radius(cs, z)
+        assert got is not None and got == _box_path_radius(cs, z)
+    # x^2 - x + 1 at 1/2, and x^2 - 2w x + 7 at w = 1/4 + i/2: p'(z) = 0
+    for cs, z in (([(1, 0), (-1, 0), (1, 0)], (F(1, 2), 0)),
+                  ([(7, 0), (F(-1, 2), -1), (1, 0)], (F(1, 4), F(1, 2)))):
+        cs = [Box.exact(*c) for c in cs]
+        assert root_radius(cs, Box.exact(*z)) is None
+        assert _box_path_radius(cs, Box.exact(*z)) is None
 
 
 def test_point_box_product_equals_the_interval_formula():
